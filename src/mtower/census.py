@@ -152,7 +152,7 @@ def _separation_evidence(curves: Sequence[CurveGerm], level: int) -> list[Eviden
     points = [prolong_curve(c, level).point for c in curves]
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            if points[i].same_point(points[j]):
+            if points[i] == points[j]:
                 raise AssertionError(
                     "representatives of a multi-orbit class merged")
     out = [Evidence("separation", "verified",
@@ -177,7 +177,7 @@ def orbit_census(level: int, trunc: int = DEFAULT_TRUNC) -> CensusReport:
         if code == "RVV":
             p = prolong_curve(curves[0], 3).point
             q = prolong_curve(curves[1], 3).point
-            if not p.same_point(q):
+            if p != q:
                 raise AssertionError("the two RVV forms should merge at level 3")
             evidence.append(Evidence(
                 "merge-certificate", "verified",

@@ -85,7 +85,7 @@ def prolong_apply(phi: DiffeoJet, p: TowerPoint,
 def isotropy_check(phi: DiffeoJet, p: TowerPoint,
                    trunc: int = DEFAULT_TRUNC) -> bool:
     """True when the prolonged jet fixes ``p`` exactly."""
-    return prolong_apply(phi, p, trunc).same_point(p)
+    return prolong_apply(phi, p, trunc) == p
 
 
 FiberDirection = tuple[Fraction, Fraction]

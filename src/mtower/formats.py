@@ -99,16 +99,26 @@ def _step_to_obj(step: Step) -> dict:
     raise DomainError(f"unknown step {step!r}")
 
 
-def _step_from_obj(obj: Mapping[str, object]) -> Step:
+def _field(obj: Mapping[str, object], name: str, what: str):
+    try:
+        return obj[name]
+    except KeyError:
+        raise DomainError(f"{what} step needs a {name!r} field") from None
+
+
+def _step_from_obj(obj: object) -> Step:
+    if not isinstance(obj, Mapping):
+        raise DomainError("a trace step must be an object")
     kind = obj.get("kind")
     if kind == "reparametrize":
-        return ReparamStep(standalone_series_from_obj(obj["tau"]))  # type: ignore[arg-type]
+        return ReparamStep(standalone_series_from_obj(_field(obj, "tau", kind)))
     if kind == "coordinate-change":
-        return JetStep(diffeo_from_obj(obj["phi"]))  # type: ignore[arg-type]
+        return JetStep(diffeo_from_obj(_field(obj, "phi", kind)))
     if kind == "scale":
-        factors = [parse_rational(f) for f in obj["factors"]]  # type: ignore[union-attr]
-        if len(factors) != 3:
+        raw = _field(obj, "factors", kind)
+        if not isinstance(raw, list) or len(raw) != 3:
             raise DomainError("scale step needs three factors")
+        factors = [parse_rational(f) for f in raw]
         return ScaleStep((factors[0], factors[1], factors[2]))
     raise DomainError(f"unknown trace step kind {kind!r}")
 
@@ -122,15 +132,15 @@ def trace_to_obj(trace: ReductionTrace) -> dict:
 
 
 def trace_from_obj(obj: Mapping[str, object]) -> ReductionTrace:
-    steps = obj.get("steps")
+    steps = obj.get("steps") if isinstance(obj, Mapping) else None
     if not isinstance(steps, list):
         raise DomainError("trace object needs a 'steps' list")
     entries = []
     for raw in steps:
         entries.append(TraceEntry(
             _step_from_obj(raw),
-            curve_from_obj(raw["before"]),
-            curve_from_obj(raw["after"])))
+            curve_from_obj(_field(raw, "before", "trace")),
+            curve_from_obj(_field(raw, "after", "trace"))))
     return ReductionTrace(tuple(entries))
 
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .curves import CurveGerm
 from .errors import DomainError, InsufficientTruncation
-from .jets import Mono, PolyTable
+from .jets import Mono, PolyTable, evaluate_polys, on_series
 from .series import TruncSeries
 
 #: Default certification bound for semigroups.
@@ -110,22 +110,7 @@ def _order_decomposition(target: int,
 
 def poly_on_curve(poly: Mapping[Mono, Fraction], c: CurveGerm) -> TruncSeries:
     """Compose a polynomial in (x, y, z) with the curve."""
-    trunc = c.trunc
-    comps = [s.restrict(trunc) for s in c.components]
-    cache: dict[tuple[int, int], TruncSeries] = {}
-
-    def power(axis: int, n: int) -> TruncSeries:
-        if n == 0:
-            return TruncSeries({0: 1}, trunc)
-        key = (axis, n)
-        if key not in cache:
-            cache[key] = (power(axis, n - 1) * comps[axis]).restrict(trunc)
-        return cache[key]
-
-    acc = TruncSeries.zero(trunc)
-    for (i, j, k), coeff in sorted(poly.items()):
-        acc = acc + (power(0, i) * power(1, j) * power(2, k)).scale(coeff)
-    return acc
+    return next(evaluate_polys([poly], *on_series(*c.components)))
 
 
 def _monomials_within(orders: Sequence[int | None], bound: int) -> list[Mono]:
@@ -163,11 +148,13 @@ def semigroup(c: CurveGerm, bound: int = DEFAULT_SEMIGROUP_BOUND) -> Semigroup:
             f"semigroup bound {bound} exceeds curve truncation {c.trunc}")
     orders = tuple(s.order() for s in c.components)
     usable = tuple(o if o is not None and o <= bound else None for o in orders)
-    rows: list[tuple[dict[int, Fraction], PolyTable]] = []
-    for mono in _monomials_within(usable, bound):
-        series = poly_on_curve({mono: Fraction(1)}, c)
-        vec = {d: coeff for d, coeff in series.terms() if d <= bound}
-        rows.append((vec, {mono: Fraction(1)}))
+    monos = _monomials_within(usable, bound)
+    # the columns are consumed one at a time, so only their low terms are kept
+    columns = evaluate_polys(({m: Fraction(1)} for m in monos),
+                             *on_series(*c.components))
+    rows = [({d: coeff for d, coeff in series.terms() if d <= bound},
+             {mono: Fraction(1)})
+            for mono, series in zip(monos, columns)]
     # eliminate by leading order, keeping one pivot row per order
     pivots: dict[int, tuple[dict[int, Fraction], PolyTable]] = {}
     rows.sort(key=lambda r: min(r[0]) if r[0] else bound + 1)
@@ -346,11 +333,14 @@ def planarity(c: CurveGerm,
              for j in range(total + 1 - i)
              for k in (total - i - j,)]
     monos.sort(key=lambda m: (sum(m), m))
-    columns: list[TruncSeries] = [poly_on_curve({m: Fraction(1)}, c) for m in monos]
-    rows = []
-    for order in range(1, order_bound + 1):
-        rows.append({i: s.coefficient(order) for i, s in enumerate(columns)
-                     if s.coefficient(order) != 0})
+    columns = evaluate_polys(({m: Fraction(1)} for m in monos),
+                             *on_series(*c.components))
+    rows: list[dict[int, Fraction]] = [{} for _ in range(order_bound)]
+    for i, s in enumerate(columns):
+        for order, row in enumerate(rows, start=1):
+            coeff = s.coefficient(order)
+            if coeff != 0:
+                row[i] = coeff
     witness = _nullspace_with_linear_part(rows, monos)
     if witness is not None:
         composed = poly_on_curve(witness, c)

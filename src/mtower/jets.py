@@ -10,7 +10,8 @@ diffeomorphism germs.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import reduce
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import DomainError
 from .series import Rational, TruncSeries, _as_fraction
@@ -20,6 +21,8 @@ PolyTable = dict[Mono, Fraction]
 
 _ZERO = (0, 0, 0)
 _AXES: tuple[Mono, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+T = TypeVar("T")
 
 
 def _clean(table: Mapping[Mono, Rational], degree: int) -> PolyTable:
@@ -55,25 +58,60 @@ def _poly_add(a: PolyTable, b: PolyTable, scale: Fraction = Fraction(1)) -> Poly
     return {m: c for m, c in out.items() if c != 0}
 
 
-def _poly_subst(poly: PolyTable, comps: Sequence[PolyTable], degree: int) -> PolyTable:
-    """Substitute three polynomials for (x, y, z) in ``poly``."""
-    cache: dict[tuple[int, int], PolyTable] = {}
+def evaluate_polys(polys: Iterable[Mapping[Mono, Fraction]],
+                   images: Sequence[T], one: T, mul: Callable[[T, T], T],
+                   scaled_sum: Callable[[Iterator[tuple[Fraction, T]]], T],
+                   ) -> Iterator[T]:
+    """Evaluate each polynomial at (x, y, z) = ``images``, one result per polynomial.
 
-    def power(axis: int, n: int) -> PolyTable:
-        if n == 0:
-            return {_ZERO: Fraction(1)}
-        key = (axis, n)
-        if key not in cache:
-            cache[key] = _poly_mul(power(axis, n - 1), comps[axis], degree)
-        return cache[key]
+    ``one`` is the images' unit, ``mul`` their truncated product and
+    ``scaled_sum`` adds up (coefficient, term) pairs. Every power of an axis is
+    computed once per call and shared by all the polynomials; the polynomials
+    and their terms are read and evaluated lazily.
+    """
+    powers = [[one, image] for image in images]
 
-    out: PolyTable = {}
-    for (i, j, k), c in poly.items():
-        term = power(0, i)
-        term = _poly_mul(term, power(1, j), degree)
-        term = _poly_mul(term, power(2, k), degree)
-        out = _poly_add(out, term, c)
-    return out
+    def power(axis: int, n: int) -> T:
+        cached = powers[axis]
+        while len(cached) <= n:
+            cached.append(mul(cached[-1], images[axis]))
+        return cached[n]
+
+    def term(mono: Mono) -> T:
+        factors = [power(axis, n) for axis, n in enumerate(mono) if n]
+        return reduce(mul, factors) if factors else one
+
+    for poly in polys:
+        yield scaled_sum((c, term(mono)) for mono, c in poly.items())
+
+
+def on_series(sx: TruncSeries, sy: TruncSeries, sz: TruncSeries) -> tuple:
+    """Arguments of :func:`evaluate_polys` for substituting three series
+    vanishing at 0; results are known through their common truncation."""
+    for s in (sx, sy, sz):
+        if s.known(0) and s.coefficient(0) != 0:
+            raise DomainError("curve substitution requires series vanishing at 0")
+    trunc = min(sx.trunc, sy.trunc, sz.trunc)
+    return ((sx.restrict(trunc), sy.restrict(trunc), sz.restrict(trunc)),
+            TruncSeries({0: 1}, trunc), lambda a, b: (a * b).restrict(trunc),
+            lambda terms: sum((t.scale(c) for c, t in terms),
+                              TruncSeries.zero(trunc)))
+
+
+def _poly_scaled_sum(terms: Iterator[tuple[Fraction, PolyTable]]) -> PolyTable:
+    acc: PolyTable = {}
+    for c, term in terms:
+        acc = _poly_add(acc, term, c)
+    return acc
+
+
+def _on_polys(comps: Sequence[PolyTable], degree: int) -> tuple:
+    """Arguments of :func:`evaluate_polys` for substituting three polynomials,
+    truncated at total degree ``degree``."""
+    images = tuple({m: c for m, c in comp.items() if sum(m) <= degree}
+                   for comp in comps)
+    return (images, {_ZERO: Fraction(1)},
+            lambda a, b: _poly_mul(a, b, degree), _poly_scaled_sum)
 
 
 class PolyJet3:
@@ -158,36 +196,14 @@ class PolyJet3:
            any(c != 0 for c in self.constant_term()):
             raise DomainError("jet composition requires both jets to fix the origin")
         deg = degree if degree is not None else min(self._degree, inner._degree)
-        comps = [_poly_subst(c, inner._comps, deg) for c in self._comps]
-        return PolyJet3(comps, deg)
+        comps = evaluate_polys(self._comps, *_on_polys(inner._comps, deg))
+        return PolyJet3(list(comps), deg)
 
     def substitute(self, sx: TruncSeries, sy: TruncSeries,
                    sz: TruncSeries) -> tuple[TruncSeries, TruncSeries, TruncSeries]:
         """Evaluate the jet on a triple of series vanishing at 0."""
-        for s in (sx, sy, sz):
-            if s.known(0) and s.coefficient(0) != 0:
-                raise DomainError("curve substitution requires series vanishing at 0")
-        trunc = min(sx.trunc, sy.trunc, sz.trunc)
-        one = TruncSeries({0: 1}, trunc)
-        cache: dict[tuple[int, int], TruncSeries] = {}
-        inputs = (sx.restrict(trunc), sy.restrict(trunc), sz.restrict(trunc))
-
-        def power(axis: int, n: int) -> TruncSeries:
-            if n == 0:
-                return one
-            key = (axis, n)
-            if key not in cache:
-                cache[key] = (power(axis, n - 1) * inputs[axis]).restrict(trunc)
-            return cache[key]
-
-        out = []
-        for comp in self._comps:
-            acc = TruncSeries.zero(trunc)
-            for (i, j, k), c in sorted(comp.items()):
-                term = power(0, i) * power(1, j) * power(2, k)
-                acc = acc + term.scale(c)
-            out.append(acc)
-        return out[0], out[1], out[2]
+        x, y, z = evaluate_polys(self._comps, *on_series(sx, sy, sz))
+        return x, y, z
 
     def inverse(self, degree: int | None = None) -> "PolyJet3":
         """Compositional inverse up to the jet degree (Newton iteration).
@@ -221,7 +237,7 @@ class PolyJet3:
             err_comps = self.compose(psi, deg)._comps
             delta = [_poly_add(err_comps[i], ident._comps[i], Fraction(-1))
                      for i in range(3)]
-            corr = [_poly_subst(linv._comps[i], delta, deg) for i in range(3)]
+            corr = list(evaluate_polys(linv._comps, *_on_polys(delta, deg)))
             psi = PolyJet3(
                 [_poly_add(psi._comps[i], corr[i], Fraction(-1)) for i in range(3)],
                 deg)
@@ -241,6 +257,8 @@ def jet_from_obj(obj: Mapping[str, Mapping[str, str]] | Mapping[str, object]) ->
     comps = []
     for name in ("phi1", "phi2", "phi3"):
         raw = obj.get(name, {})  # type: ignore[union-attr]
+        if not isinstance(raw, Mapping):
+            raise DomainError(f"jet component {name!r} must be an object")
         table: PolyTable = {}
         for key, value in raw.items():  # type: ignore[union-attr]
             parts = key.split(",")

@@ -126,9 +126,6 @@ class StepResult:
     trace: ReductionTrace
     notes: tuple[str, ...] = ()
 
-    def __iter__(self):
-        return iter((self.curve, self.trace))
-
 
 # -- individual reductions -----------------------------------------------------
 

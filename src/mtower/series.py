@@ -13,6 +13,7 @@ anywhere. Instances are immutable and safe to share between threads.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -44,6 +45,7 @@ class TruncSeries:
                  trunc: int = DEFAULT_TRUNC):
         if trunc < 0:
             raise DomainError("truncation order must be non-negative")
+        trunc = min(trunc, MAX_TRUNC)
         table: dict[int, Fraction] = {}
         if coeffs:
             for degree, value in coeffs.items():
@@ -55,7 +57,7 @@ class TruncSeries:
                 if q != 0:
                     table[degree] = q
         self._coeffs = table
-        self._trunc = min(trunc, MAX_TRUNC)
+        self._trunc = trunc
 
     # -- construction -------------------------------------------------
 
@@ -202,20 +204,6 @@ class TruncSeries:
                     table[d] = table.get(d, Fraction(0)) + ca * cb
         return TruncSeries(table, trunc)
 
-    def __pow__(self, n: int) -> "TruncSeries":
-        if n < 0:
-            raise DomainError("negative powers are not supported; use reciprocal()")
-        result = TruncSeries({0: 1}, self._trunc + self.effective_order() * max(n - 1, 0))
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def reciprocal(self) -> "TruncSeries":
         """Multiplicative inverse of a unit (order-zero) series."""
         if self.order() != 0:
@@ -346,15 +334,15 @@ class TruncSeries:
         return g
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the literal rational format: an integer ``p`` or ``p/q``."""
-    s = text.strip()
-    body = s[1:] if s.startswith("-") else s
-    head, slash, tail = body.partition("/")
-    if not head.isdigit() or (slash and not tail.isdigit()):
+_RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(text: object) -> Fraction:
+    """Parse the literal rational format: an ASCII integer ``p`` or ``p/q``."""
+    if not isinstance(text, str) or not _RATIONAL_LITERAL.fullmatch(text):
         raise DomainError(f"malformed rational literal {text!r}")
     try:
-        return Fraction(s)
+        return Fraction(text)
     except ZeroDivisionError:
         raise DomainError(f"zero denominator in rational literal {text!r}") from None
 

@@ -30,7 +30,7 @@ tangent line to the projectivized kernel inside the new fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -73,28 +73,6 @@ class CriticalHyperplane:
         d = _as_direction(direction)
         return sum(n * v for n, v in zip(self.normal, d)) == 0
 
-    def kernel_span(self) -> tuple[Direction, Direction]:
-        """Two independent frame vectors spanning the kernel."""
-        a, b, c = self.normal
-        vecs = []
-        for probe in ((Fraction(1), Fraction(0), Fraction(0)),
-                      (Fraction(0), Fraction(1), Fraction(0)),
-                      (Fraction(0), Fraction(0), Fraction(1))):
-            coeff = a * probe[0] + b * probe[1] + c * probe[2]
-            if coeff == 0:
-                vecs.append(probe)
-        if len(vecs) == 2:
-            return vecs[0], vecs[1]
-        # generic normal: complete by cross-product style elimination
-        if a != 0:
-            return ((-b / a, Fraction(1), Fraction(0)),
-                    (-c / a, Fraction(0), Fraction(1)))
-        if b != 0:
-            return ((Fraction(1), -a / b, Fraction(0)),
-                    (Fraction(0), -c / b, Fraction(1)))
-        return ((Fraction(1), Fraction(0), Fraction(0)),
-                (Fraction(0), Fraction(1), Fraction(0)))
-
 
 def vertical_plane(level: int) -> CriticalHyperplane:
     return CriticalHyperplane(level, 0, (Fraction(1), Fraction(0), Fraction(0)))
@@ -114,7 +92,7 @@ class TowerPoint:
     level: int
     chart: tuple[int, ...]
     coords: tuple[Fraction, ...]
-    arrangement: Arrangement
+    arrangement: Arrangement = field(compare=False)
 
     def fiber_coords(self, j: int) -> tuple[Fraction, Fraction]:
         """The pair (u_j, v_j), 1-indexed by level."""
@@ -122,10 +100,6 @@ class TowerPoint:
             raise DomainError(f"no fiber coordinates at level {j}")
         base = 3 + 2 * (j - 1)
         return self.coords[base], self.coords[base + 1]
-
-    def same_point(self, other: "TowerPoint") -> bool:
-        return (self.level == other.level and self.chart == other.chart
-                and self.coords == other.coords)
 
 
 def _step_direction(d: int, u: Fraction, v: Fraction) -> Direction:
@@ -252,11 +226,6 @@ def point_letters(p: TowerPoint) -> RVTWord:
     """RVT word of the point itself (one letter per level)."""
     _, letters = _reconstruct(p.level, p.chart, p.coords)
     return letters
-
-
-def arrangement_at(p: TowerPoint) -> Arrangement:
-    """Critical hyperplanes through ``p`` (1, 2 or 3 planes for levels >= 1)."""
-    return p.arrangement
 
 
 def point_above(p: TowerPoint, direction: Sequence[Rational]) -> TowerPoint:

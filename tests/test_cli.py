@@ -44,7 +44,8 @@ def test_curve_round_trip():
 def test_point_round_trip():
     p = prolong_curve(monomial_curve(3, 4, 5), 3).point
     q = point_from_obj(json.loads(dumps(point_to_obj(p))))
-    assert q == p  # arrangement is recomputed and must agree
+    assert q == p
+    assert q.arrangement == p.arrangement  # recomputed, and must agree
 
 
 def test_point_serialization_is_lowest_terms():
@@ -198,6 +199,51 @@ def test_domain_error_exit_code(run, tmp_path):
     code, out = run("rvt", "--curve", str(path), "--level", "1")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "domain-error"
+
+
+def _assert_domain_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"]["code"] == "domain-error"
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("coeff", [1, None, "\u00b2", "\u0661/\u0662"])
+def test_malformed_coefficient_is_a_domain_error(capsys, tmp_path, coeff):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"trunc": 8, "x": {"1": coeff}, "y": {}, "z": {}}))
+    _assert_domain_error(capsys, ["rvt", "--curve", str(path), "--level", "1"])
+
+
+def test_malformed_jet_component_is_a_domain_error(capsys, tmp_path):
+    diffeo = tmp_path / "phi.json"
+    diffeo.write_text(json.dumps({"degree": 2, "phi1": ["1,0,0"]}))
+    point = tmp_path / "p.json"
+    point.write_text(dumps(point_to_obj(
+        prolong_curve(monomial_curve(1, None, None), 1).point)))
+    _assert_domain_error(capsys, ["apply", "--diffeo", str(diffeo),
+                                  "--point", str(point)])
+
+
+@pytest.mark.parametrize("kind, missing", [
+    ("scale", "factors"), ("reparametrize", "tau"),
+    ("coordinate-change", "phi"), ("scale", "before"), ("scale", "after"),
+    ("scale", None)])
+def test_malformed_trace_step_is_a_domain_error(capsys, tmp_path, kind, missing):
+    c = curve_from_obj({"trunc": 16, "x": {"3": "2", "4": "1"},
+                        "y": {"5": "1"}, "z": {"7": "1"}})
+    steps = trace_to_obj(reduce_catalog(c).trace)["steps"]
+    step = next(s for s in steps if s["kind"] == kind)
+    if missing is None:
+        step = [step]  # a step that is not an object
+    else:
+        del step[missing]
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps({"steps": [step]}))
+    curve = tmp_path / "c.json"
+    curve.write_text(dumps(curve_to_obj(c)))
+    _assert_domain_error(capsys, ["replay", "--trace", str(trace),
+                                  "--curve", str(curve)])
 
 
 def test_truncation_error_surfaces(run, tmp_path):

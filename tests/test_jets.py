@@ -3,10 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtower.curves import monomial_curve
 from mtower.errors import DomainError
 from mtower.jets import PolyJet3, jet_from_obj, jet_to_obj
+from mtower.series import TruncSeries
 
 F = Fraction
 
@@ -86,3 +88,33 @@ def test_inverse_rejects_singular():
 def test_jet_json_round_trip():
     jet = PolyJet3([{X: F(2, 3)}, {Y: 1, (2, 0, 0): F(-1, 7)}, {Z: 4}], 5)
     assert jet_from_obj(jet_to_obj(jet)) == jet
+
+
+small_fractions = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+def jets_fixing_origin(degree):
+    monos = [(i, j, k) for i in range(degree + 1) for j in range(degree + 1)
+             for k in range(degree + 1) if 1 <= i + j + k <= degree]
+    comp = st.dictionaries(st.sampled_from(monos), small_fractions, max_size=4)
+    return st.lists(comp, min_size=3, max_size=3).map(
+        lambda comps: PolyJet3(comps, degree))
+
+
+germ_series = st.dictionaries(st.integers(1, 10), small_fractions,
+                              max_size=3).map(lambda d: TruncSeries(d, 10))
+
+
+@given(st.integers(1, 4).flatmap(jets_fixing_origin),
+       st.integers(1, 4).flatmap(jets_fixing_origin),
+       st.tuples(germ_series, germ_series, germ_series))
+@settings(max_examples=60, deadline=None)
+def test_compose_then_substitute_matches_nested_substitution(phi, psi, curve):
+    # the composite drops monomials past its degree D, which only reach
+    # orders (D + 1) * m and above on a curve of multiplicity m
+    degree = min(phi.degree, psi.degree)
+    mult = min(s.effective_order() for s in curve)
+    through = min(10, (degree + 1) * mult - 1)
+    direct = phi.compose(psi).substitute(*curve)
+    nested = phi.substitute(*psi.substitute(*curve))
+    assert all(a.agrees_with(b, through) for a, b in zip(direct, nested))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mtower.errors import DomainError, InsufficientTruncation
-from mtower.series import TruncSeries, format_rational, parse_rational
+from mtower.series import (MAX_TRUNC, TruncSeries, format_rational,
+                           parse_rational)
 
 F = Fraction
 
@@ -222,6 +223,12 @@ def test_coefficient_beyond_trunc_raises():
         s.coefficient(6)
 
 
+def test_terms_past_max_trunc_are_dropped():
+    for s in (TruncSeries({280: 1}, 300), TruncSeries({250: 1}, 256).shift(10)):
+        assert s.trunc == MAX_TRUNC and s.is_zero()
+        assert repr(s) == f"O(t^{MAX_TRUNC + 1})"
+
+
 def test_multiplication_trunc_rule():
     # min(trunc_a + ord_b, trunc_b + ord_a): the unknown tail of b past
     # degree 10 meets the t^3 term of a at degree 14.
@@ -248,6 +255,7 @@ def test_parse_and_format_rational():
 
 
 def test_parse_rejects_floats_and_garbage():
-    for bad in ("1.5", "2e3", "3/0", "/4", "1/", "a"):
+    for bad in ("1.5", "2e3", "3/0", "/4", "1/", "a", "\u00b2", "\u0661/\u0662",
+                " 3", "+3", "3\n", 1, None, [1]):
         with pytest.raises(DomainError):
             parse_rational(bad)

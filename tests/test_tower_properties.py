@@ -68,7 +68,8 @@ def test_realize_round_trip_on_random_points(c, k):
     except MTError:
         return
     gamma = realize_point(p)
-    assert prolong_curve(gamma, k).point == p
+    again = prolong_curve(gamma, k).point
+    assert again == p and again.arrangement == p.arrangement
 
 
 @given(germ_curves())

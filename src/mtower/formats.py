@@ -8,6 +8,7 @@ that is not an integer or p/q literal.
 from __future__ import annotations
 
 import json
+import operator
 from typing import Mapping
 
 from .census import CensusReport, RvvvReport
@@ -52,8 +53,11 @@ def point_to_obj(p: TowerPoint) -> dict:
 def point_from_obj(obj: Mapping[str, object]) -> TowerPoint:
     try:
         level = int(obj["level"])  # type: ignore[arg-type]
-        chart = [int(d) for d in obj["chart"]]  # type: ignore[union-attr]
-        coords = [parse_rational(c) for c in obj["coords"]]  # type: ignore[union-attr]
+        raw_chart, raw_coords = obj["chart"], obj["coords"]
+        if not isinstance(raw_chart, list) or not isinstance(raw_coords, list):
+            raise TypeError("chart and coords must be arrays")
+        chart = [int(d) for d in raw_chart]
+        coords = [parse_rational(c) for c in raw_coords]
     except (KeyError, TypeError, ValueError):
         raise DomainError("point object needs level, chart and coords") from None
     return make_point(level, chart, coords)
@@ -153,10 +157,16 @@ def certificate_to_obj(cert: Certificate) -> dict:
 
 
 def certificate_from_obj(obj: Mapping[str, object]) -> Certificate:
-    return Certificate(
-        diffeo_from_obj(obj["phi"]),  # type: ignore[arg-type]
-        standalone_series_from_obj(obj["tau"]),  # type: ignore[arg-type]
-        int(obj["verified_through"]))  # type: ignore[arg-type]
+    parts = []
+    for name, parse in (("phi", diffeo_from_obj),
+                        ("tau", standalone_series_from_obj),
+                        ("verified_through", operator.index)):
+        try:
+            parts.append(parse(obj[name]))  # type: ignore[index]
+        except (KeyError, TypeError, DomainError):
+            raise DomainError(
+                f"certificate needs a well-formed {name!r} field") from None
+    return Certificate(*parts)
 
 
 # -- analysis results -----------------------------------------------------------------

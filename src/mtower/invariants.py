@@ -30,14 +30,14 @@ def multiplicity(c: CurveGerm) -> int:
     """Minimum of the component orders."""
     orders = [s.order() for s in c.components if s.order() is not None]
     if not orders:
-        raise DomainError("all components vanish up to truncation; no multiplicity")
+        raise InsufficientTruncation("all components vanish up to truncation")
     return min(orders)
 
 
 def well_parameterized(c: CurveGerm) -> bool:
     """True when the exponents present have gcd 1 (no t -> t^d factoring)."""
     if c.is_constant():
-        raise DomainError("the constant curve has no parameterization to test")
+        raise InsufficientTruncation("the curve vanishes up to truncation")
     g = 0
     for s in c.components:
         for d, _ in s.terms():
@@ -113,6 +113,16 @@ def poly_on_curve(poly: Mapping[Mono, Fraction], c: CurveGerm) -> TruncSeries:
     return next(evaluate_polys([poly], *on_series(*c.components)))
 
 
+def _subtract(target: dict, factor: Fraction, source: Mapping) -> None:
+    """target -= factor * source, dropping entries that become zero."""
+    for key, coeff in source.items():
+        value = target.get(key, Fraction(0)) - factor * coeff
+        if value == 0:
+            target.pop(key, None)
+        else:
+            target[key] = value
+
+
 def _monomials_within(orders: Sequence[int | None], bound: int) -> list[Mono]:
     """Exponent triples whose composition order can reach the bound."""
     out: list[Mono] = []
@@ -149,11 +159,9 @@ def semigroup(c: CurveGerm, bound: int = DEFAULT_SEMIGROUP_BOUND) -> Semigroup:
     orders = tuple(s.order() for s in c.components)
     usable = tuple(o if o is not None and o <= bound else None for o in orders)
     monos = _monomials_within(usable, bound)
-    # the columns are consumed one at a time, so only their low terms are kept
     columns = evaluate_polys(({m: Fraction(1)} for m in monos),
-                             *on_series(*c.components))
-    rows = [({d: coeff for d, coeff in series.terms() if d <= bound},
-             {mono: Fraction(1)})
+                             *on_series(*c.restrict(bound).components))
+    rows = [(series.coeffs, {mono: Fraction(1)})
             for mono, series in zip(monos, columns)]
     # eliminate by leading order, keeping one pivot row per order
     pivots: dict[int, tuple[dict[int, Fraction], PolyTable]] = {}
@@ -161,25 +169,13 @@ def semigroup(c: CurveGerm, bound: int = DEFAULT_SEMIGROUP_BOUND) -> Semigroup:
     for vec, wit in rows:
         while vec:
             lead = min(vec)
-            if lead > bound:
-                break
             if lead not in pivots:
                 pivots[lead] = (vec, wit)
                 break
             pvec, pwit = pivots[lead]
             factor = vec[lead] / pvec[lead]
-            for d, coeff in pvec.items():
-                nv = vec.get(d, Fraction(0)) - factor * coeff
-                if nv == 0:
-                    vec.pop(d, None)
-                else:
-                    vec[d] = nv
-            for m, coeff in pwit.items():
-                nw = wit.get(m, Fraction(0)) - factor * coeff
-                if nw == 0:
-                    wit.pop(m, None)
-                else:
-                    wit[m] = nw
+            _subtract(vec, factor, pvec)
+            _subtract(wit, factor, pwit)
     elements = tuple(sorted(pivots))
     gaps = tuple(n for n in range(1, bound + 1) if n not in pivots)
     conductor = None
@@ -273,44 +269,44 @@ class PlanarityVerdict:
     obstruction_order: int | None = None
 
 
-def _nullspace_with_linear_part(rows: list[dict[int, Fraction]],
-                                monos: list[Mono]) -> PolyTable | None:
-    """Solve rows . f = 0; return a solution with nonzero linear part."""
-    ncols = len(monos)
-    # row-reduce the (equations x unknowns) matrix, then read one null
-    # vector per free column and test its linear part
-    eqs = [[row.get(i, Fraction(0)) for i in range(ncols)] for row in rows]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(r, len(eqs)):
-            if eqs[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        eqs[r], eqs[sel] = eqs[sel], eqs[r]
-        lead = eqs[r][col]
-        eqs[r] = [v / lead for v in eqs[r]]
-        for i in range(len(eqs)):
-            if i != r and eqs[i][col] != 0:
-                f = eqs[i][col]
-                eqs[i] = [a - f * b for a, b in zip(eqs[i], eqs[r])]
-        pivot_of_col[col] = r
-        r += 1
-    linear_cols = [i for i, m in enumerate(monos) if sum(m) == 1]
+def _obstruction_or_witness(rows: Iterable[dict[int, Fraction]], ncols: int,
+                            linear: range) -> int | dict[int, Fraction]:
+    """Add the equations ``rows`` (column -> coefficient) one at a time to a
+    fully reduced echelon basis.
+
+    Returns the number of rows after which every solution f of rows . f = 0
+    has zero coordinates in the ``linear`` columns. When that never happens,
+    returns the null vector of the first free column whose linear part is
+    nonzero; the reduced echelon form is unique, so this vector is too.
+    """
+    basis: dict[int, dict[int, Fraction]] = {}
+    for m, row in enumerate(rows, start=1):
+        # basis rows vanish in each other's pivot columns, so one pass clears
+        # every pivot column of the new row
+        for pivot in [col for col in row if col in basis]:
+            _subtract(row, row[pivot], basis[pivot])
+        if row:
+            lead = min(row)
+            scale = row[lead]
+            row = {col: coeff / scale for col, coeff in row.items()}
+            for other in basis.values():
+                if lead in other:
+                    _subtract(other, other[lead], row)
+            basis[lead] = row
+        if all(len(basis.get(col, ())) == 1 for col in linear):
+            return m
     for free in range(ncols):
-        if free in pivot_of_col:
+        if free in basis:
             continue
         vec = {free: Fraction(1)}
-        for col, row in pivot_of_col.items():
-            val = -eqs[row][free]
-            if val != 0:
-                vec[col] = val
-        if any(vec.get(i, 0) != 0 for i in linear_cols):
-            return {monos[i]: v for i, v in vec.items() if v != 0}
-    return None
+        for pivot in sorted(basis):
+            value = basis[pivot].get(free)
+            if value is not None:
+                vec[pivot] = -value
+        if any(col in vec for col in linear):
+            return vec
+    # no row and no linear column: obstructed from the first order on
+    return 1
 
 
 def planarity(c: CurveGerm,
@@ -333,27 +329,21 @@ def planarity(c: CurveGerm,
              for j in range(total + 1 - i)
              for k in (total - i - j,)]
     monos.sort(key=lambda m: (sum(m), m))
+    low = c.restrict(max(order_bound, 0))
     columns = evaluate_polys(({m: Fraction(1)} for m in monos),
-                             *on_series(*c.components))
+                             *on_series(*low.components))
     rows: list[dict[int, Fraction]] = [{} for _ in range(order_bound)]
     for i, s in enumerate(columns):
-        for order, row in enumerate(rows, start=1):
-            coeff = s.coefficient(order)
-            if coeff != 0:
-                row[i] = coeff
-    witness = _nullspace_with_linear_part(rows, monos)
-    if witness is not None:
-        composed = poly_on_curve(witness, c)
-        if not (composed.order() is None or composed.order() > order_bound):
-            raise AssertionError("planarity witness failed re-verification")
-        return PlanarityVerdict("planar-witness", degree_bound, order_bound,
-                                witness=witness)
-    lo, hi = 1, order_bound
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _nullspace_with_linear_part(rows[:mid], monos) is None:
-            hi = mid
-        else:
-            lo = mid + 1
-    return PlanarityVerdict("obstructed", degree_bound, order_bound,
-                            obstruction_order=lo)
+        for order, coeff in s.terms():
+            rows[order - 1][i] = coeff
+    # the linear monomials sort first
+    found = _obstruction_or_witness(rows, len(monos), range(3 if monos else 0))
+    if isinstance(found, int):
+        return PlanarityVerdict("obstructed", degree_bound, order_bound,
+                                obstruction_order=found)
+    witness = {monos[i]: v for i, v in found.items()}
+    composed = poly_on_curve(witness, c)
+    if not (composed.order() is None or composed.order() > order_bound):
+        raise AssertionError("planarity witness failed re-verification")
+    return PlanarityVerdict("planar-witness", degree_bound, order_bound,
+                            witness=witness)

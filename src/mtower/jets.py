@@ -9,6 +9,7 @@ diffeomorphism germs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -21,6 +22,7 @@ PolyTable = dict[Mono, Fraction]
 
 _ZERO = (0, 0, 0)
 _AXES: tuple[Mono, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_MONO_KEY = re.compile(r"[0-9]+,[0-9]+,[0-9]+")
 
 T = TypeVar("T")
 
@@ -261,14 +263,10 @@ def jet_from_obj(obj: Mapping[str, Mapping[str, str]] | Mapping[str, object]) ->
             raise DomainError(f"jet component {name!r} must be an object")
         table: PolyTable = {}
         for key, value in raw.items():  # type: ignore[union-attr]
-            parts = key.split(",")
-            if len(parts) != 3:
+            if not isinstance(key, str) or not _MONO_KEY.fullmatch(key):
                 raise DomainError(f"malformed jet monomial key {key!r}")
-            try:
-                mono = (int(parts[0]), int(parts[1]), int(parts[2]))
-            except ValueError:
-                raise DomainError(f"malformed jet monomial key {key!r}") from None
-            table[mono] = parse_rational(value)
+            i, j, k = (int(part) for part in key.split(","))
+            table[(i, j, k)] = parse_rational(value)
         comps.append(table)
     return PolyJet3(comps, degree)
 

@@ -223,13 +223,11 @@ class TruncSeries:
     def divide(self, other: "TruncSeries") -> "TruncSeries":
         """Exact quotient self/other; requires ord(self) >= ord(other)."""
         ob = other.order()
-        if ob is None:
-            raise DomainError("division by a series that is zero up to truncation")
-        if self.effective_order() < ob:
-            raise DomainError("quotient is not a power series (order drops below zero)")
-        if self._trunc < ob or other._trunc < ob:
+        if ob is None or (self.is_zero() and self._trunc < ob):
             raise InsufficientTruncation(
                 "quotient is not determined at any order (truncation exhausted)")
+        if self.effective_order() < ob:
+            raise DomainError("quotient is not a power series (order drops below zero)")
         # cancel the common factor t^ob from both operands
         num = TruncSeries({d - ob: c for d, c in self._coeffs.items()},
                           self._trunc - ob)
@@ -335,6 +333,7 @@ class TruncSeries:
 
 
 _RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_DEGREE_KEY = re.compile(r"[0-9]+")
 
 
 def parse_rational(text: object) -> Fraction:
@@ -357,11 +356,9 @@ def series_from_obj(obj: Mapping[str, str], trunc: int) -> TruncSeries:
     """Build a series from the literal JSON form {degree: rational}."""
     table: dict[int, Fraction] = {}
     for key, value in obj.items():
-        try:
-            degree = int(key)
-        except ValueError:
-            raise DomainError(f"malformed series degree key {key!r}") from None
-        table[degree] = parse_rational(value)
+        if not isinstance(key, str) or not _DEGREE_KEY.fullmatch(key):
+            raise DomainError(f"malformed series degree key {key!r}")
+        table[int(key)] = parse_rational(value)
     return TruncSeries(table, trunc)
 
 

@@ -306,7 +306,7 @@ def prolong_curve(c: CurveGerm, k: int) -> ProlongedCurve:
     if k < 1:
         raise DomainError("prolongation level must be at least 1")
     if c.is_constant():
-        raise DomainError("the constant curve cannot be prolonged")
+        raise InsufficientTruncation("the curve vanishes up to truncation")
     series: list[TruncSeries] = list(c.components)
     active: list[TruncSeries] = list(c.components)
     chart: list[int] = []

@@ -12,6 +12,7 @@ from mtower.formats import (certificate_from_obj, certificate_to_obj,
                             point_from_obj, point_to_obj, trace_from_obj,
                             trace_to_obj)
 from mtower.diffeo import DiffeoJet
+from mtower.errors import DomainError
 from mtower.normalize import apply_certificate, equivalence_search, reduce_catalog
 from mtower.tower import prolong_curve
 
@@ -223,6 +224,53 @@ def test_malformed_jet_component_is_a_domain_error(capsys, tmp_path):
         prolong_curve(monomial_curve(1, None, None), 1).point)))
     _assert_domain_error(capsys, ["apply", "--diffeo", str(diffeo),
                                   "--point", str(point)])
+
+
+@pytest.mark.parametrize("key", ["\u0663", " 4 ", "4\n", "+4", "\uff14"])
+def test_malformed_degree_key_is_a_domain_error(capsys, tmp_path, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"trunc": 8, "x": {"2": "1", key: "1"},
+                                "y": {"3": "1"}, "z": {}}))
+    _assert_domain_error(capsys, ["--bound", "6", "semigroup",
+                                  "--curve", str(path)])
+
+
+@pytest.mark.parametrize("key", [" 1, 0,0", "1,0,\u0660", "+1,0,0", "1,0,0 "])
+def test_malformed_jet_key_is_a_domain_error(capsys, tmp_path, key):
+    diffeo = tmp_path / "phi.json"
+    diffeo.write_text(json.dumps({"degree": 2, "phi1": {key: "1"},
+                                  "phi2": {"0,1,0": "1"}, "phi3": {"0,0,1": "1"}}))
+    point = tmp_path / "p.json"
+    point.write_text(dumps(point_to_obj(
+        prolong_curve(monomial_curve(1, None, None), 1).point)))
+    _assert_domain_error(capsys, ["apply", "--diffeo", str(diffeo),
+                                  "--point", str(point)])
+
+
+@pytest.mark.parametrize("chart, coords", [
+    ("0", "00000"), ([0], "00000"), ("0", ["0"] * 5), ({"0": 0}, ["0"] * 5)])
+def test_point_arrays_must_be_arrays(capsys, tmp_path, chart, coords):
+    diffeo = tmp_path / "phi.json"
+    diffeo.write_text(dumps(diffeo_to_obj(DiffeoJet.from_components(
+        [{(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}], degree=2))))
+    point = tmp_path / "p.json"
+    point.write_text(json.dumps({"level": 1, "chart": chart, "coords": coords}))
+    _assert_domain_error(capsys, ["apply", "--diffeo", str(diffeo),
+                                  "--point", str(point)])
+
+
+def test_malformed_certificate_is_a_domain_error():
+    good = certificate_to_obj(equivalence_search(
+        monomial_curve(2, 3, None, trunc=16),
+        monomial_curve(2, 3, None, trunc=16)).certificate)
+    for name, bad in (("phi", ["1,0,0"]), ("tau", {"coeffs": {}}),
+                      ("verified_through", "7"), ("verified_through", 7.5)):
+        missing = {key: value for key, value in good.items() if key != name}
+        for obj in (missing, {**good, name: bad}):
+            with pytest.raises(DomainError, match=repr(name)):
+                certificate_from_obj(obj)
+    with pytest.raises(DomainError):
+        certificate_from_obj([])
 
 
 @pytest.mark.parametrize("kind, missing", [

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from mtower.census import rvvv_points
 from mtower.curves import monomial_curve
 from mtower.diffeo import (DiffeoJet, fiber_action, isotropy_check,
                            prolong_apply, sample_diffeo, taylor_constraints)
-from mtower.errors import DomainError
+from mtower.errors import DomainError, InsufficientTruncation
 from mtower.series import TruncSeries
 from mtower.tower import point_above, prolong_curve, realize_point, rvt_code
 
@@ -69,6 +70,13 @@ def test_prolong_apply_independent_of_realizing_curve():
     tail = (TruncSeries({2: F(1, 2), 5: 1}, 64), TruncSeries({3: F(-1, 3)}, 64))
     gamma = realize_point(p3, tangent=(1, 2), fiber_tail=tail)
     assert prolong_curve(phi.apply_to_curve(gamma), 3).point == expected
+
+
+def test_image_vanishing_up_to_truncation_is_a_shortfall():
+    # at trunc 4 the realizing curve, and so its image, vanishes up to truncation
+    with pytest.raises(InsufficientTruncation):
+        prolong_apply(sample_diffeo(random.Random(3), degree=2),
+                      rvvv_points()[1], trunc=4)
 
 
 def test_well_definedness_many_trials():

@@ -4,7 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.ring_series import rs_mul
+from sympy.polys.rings import ring
 
+from mtower.catalog import NORMAL_FORMS
 from mtower.curves import CurveGerm, monomial_curve
 from mtower.diffeo import sample_diffeo
 from mtower.errors import DomainError, InsufficientTruncation
@@ -32,6 +37,14 @@ def test_well_parameterized_examples():
     assert well_parameterized(monomial_curve(2, 3, None))
     assert not well_parameterized(monomial_curve(2, 4, None))
     assert well_parameterized(monomial_curve(3, 5, 7))
+
+
+def test_curve_vanishing_up_to_truncation_is_a_shortfall():
+    c = monomial_curve(None, None, None, trunc=16)
+    with pytest.raises(InsufficientTruncation):
+        multiplicity(c)
+    with pytest.raises(InsufficientTruncation):
+        well_parameterized(c)
 
 
 # -- semigroup -------------------------------------------------------------------
@@ -186,3 +199,67 @@ def test_obstruction_monotone_in_degree():
 def test_undetermined_when_truncation_too_small():
     c = monomial_curve(3, 5, 7, trunc=20)
     assert planarity(c, 7, 40).kind == "undetermined"
+
+
+def sympy_planarity(c, degree, order):
+    """Obstruction order, or witness, of the planarity decision over QQ.
+
+    Shares no code with the engine: the order-by-monomial matrix comes from
+    sympy series products, the obstruction order is the smallest m with
+    rank A[:m] = rank A_N[:m] + 3 (A_N drops the x, y, z columns), and the
+    witness is the first null vector of A.rref() with a nonzero linear part.
+    """
+    qq_ring, t = ring("t", sympy.QQ)
+    comps = [sum((sympy.QQ(q.numerator, q.denominator) * t**d
+                  for d, q in s.terms()), qq_ring.zero) for s in c.components]
+    monos = sorted(((i, j, k) for i in range(degree + 1)
+                    for j in range(degree + 1 - i)
+                    for k in range(degree + 1 - i - j) if i + j + k),
+                   key=lambda m: (sum(m), m))
+    columns = []
+    for mono in monos:
+        p = qq_ring.one
+        for comp, e in zip(comps, mono):
+            for _ in range(e):
+                p = rs_mul(p, comp, t, order + 1)
+        columns.append(p)
+    a = DomainMatrix([[col.coeff(t**r) for col in columns]
+                      for r in range(1, order + 1)],
+                     (order, len(monos)), sympy.QQ)
+    for m in range(1, order + 1):
+        if a[:m, :].rank() == a[:m, 3:].rank() + 3:
+            return m
+    rref, pivots = a.rref()
+    rref = rref.to_Matrix()
+    for free in range(len(monos)):
+        if free in pivots:
+            continue
+        vec = {free: sympy.Integer(1)}
+        for row, pivot in enumerate(pivots):
+            vec[pivot] = -rref[row, free]
+        if any(vec.get(i) for i in range(3)):
+            return {monos[i]: F(int(v.p), int(v.q)) for i, v in vec.items() if v}
+    raise AssertionError("neither an obstruction nor a witness")
+
+
+def test_planarity_matches_sympy_elimination():
+    cases = [(monomial_curve(*e, trunc=40), 7, 40)
+             for e in sorted(set(sum(NORMAL_FORMS.values(), ())), key=str)]
+    rng = random.Random(5)
+    for exponents in [(3, 4, 5), (3, 5, 7), (3, 4, None), (2, 3, 4)]:
+        c = monomial_curve(*exponents, trunc=30)
+        tau = TruncSeries({1: 1, 2: rng.choice([1, -1])}, 30)
+        moved = sample_diffeo(rng, degree=3).apply_to_curve(c).reparametrize(tau)
+        cases.append((moved, 5, 30))
+    kinds = set()
+    for c, degree, order in cases:
+        verdict = planarity(c, degree, order)
+        expected = sympy_planarity(c, degree, order)
+        kinds.add(verdict.kind)
+        if isinstance(expected, int):
+            assert verdict.kind == "obstructed"
+            assert verdict.obstruction_order == expected
+        else:
+            assert verdict.kind == "planar-witness"
+            assert verdict.witness == expected
+    assert kinds == {"obstructed", "planar-witness"}

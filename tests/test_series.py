@@ -229,6 +229,16 @@ def test_terms_past_max_trunc_are_dropped():
         assert repr(s) == f"O(t^{MAX_TRUNC + 1})"
 
 
+def test_divide_truncation_shortfall_is_not_a_domain_error():
+    with pytest.raises(InsufficientTruncation):
+        poly((1, 1)).divide(TruncSeries.zero(8))
+    with pytest.raises(InsufficientTruncation):
+        TruncSeries({}, 2).divide(TruncSeries({5: 1}, 8))
+    # a nonzero numerator of lower order is a genuine domain error
+    with pytest.raises(DomainError):
+        poly((1, 1)).divide(poly((2, 1)))
+
+
 def test_multiplication_trunc_rule():
     # min(trunc_a + ord_b, trunc_b + ord_a): the unknown tail of b past
     # degree 10 meets the t^3 term of a at degree 14.

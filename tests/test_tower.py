@@ -51,7 +51,7 @@ def test_space_curve_level_one_ratios():
 
 
 def test_constant_curve_rejected():
-    with pytest.raises(DomainError):
+    with pytest.raises(InsufficientTruncation):
         prolong_curve(monomial_curve(None, None, None), 1)
 
 

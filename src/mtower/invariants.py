@@ -269,18 +269,19 @@ class PlanarityVerdict:
     obstruction_order: int | None = None
 
 
-def _obstruction_or_witness(rows: Iterable[dict[int, Fraction]], ncols: int,
-                            linear: range) -> int | dict[int, Fraction]:
-    """Add the equations ``rows`` (column -> coefficient) one at a time to a
-    fully reduced echelon basis.
+def _obstruction_or_witness(rows: Iterable[dict[int, Fraction]],
+                            monos: list[Mono]) -> int | PolyTable:
+    """Add the equations ``rows`` (column -> coefficient, one column per
+    monomial) one at a time to a fully reduced echelon basis.
 
     Returns the number of rows after which every solution f of rows . f = 0
-    has zero coordinates in the ``linear`` columns. When that never happens,
-    returns the null vector of the first free column whose linear part is
-    nonzero; the reduced echelon form is unique, so this vector is too.
+    has zero linear part. When that never happens, returns the null vector of
+    the first free column whose linear part is nonzero; the reduced echelon
+    form is unique, so this vector is too.
     """
+    linear = [i for i, m in enumerate(monos) if sum(m) == 1]
     basis: dict[int, dict[int, Fraction]] = {}
-    for m, row in enumerate(rows, start=1):
+    for count, row in enumerate(rows, start=1):
         # basis rows vanish in each other's pivot columns, so one pass clears
         # every pivot column of the new row
         for pivot in [col for col in row if col in basis]:
@@ -294,8 +295,8 @@ def _obstruction_or_witness(rows: Iterable[dict[int, Fraction]], ncols: int,
                     _subtract(other, other[lead], row)
             basis[lead] = row
         if all(len(basis.get(col, ())) == 1 for col in linear):
-            return m
-    for free in range(ncols):
+            return count
+    for free in range(len(monos)):
         if free in basis:
             continue
         vec = {free: Fraction(1)}
@@ -304,7 +305,7 @@ def _obstruction_or_witness(rows: Iterable[dict[int, Fraction]], ncols: int,
             if value is not None:
                 vec[pivot] = -value
         if any(col in vec for col in linear):
-            return vec
+            return {monos[col]: value for col, value in vec.items()}
     # no row and no linear column: obstructed from the first order on
     return 1
 
@@ -336,14 +337,12 @@ def planarity(c: CurveGerm,
     for i, s in enumerate(columns):
         for order, coeff in s.terms():
             rows[order - 1][i] = coeff
-    # the linear monomials sort first
-    found = _obstruction_or_witness(rows, len(monos), range(3 if monos else 0))
+    found = _obstruction_or_witness(rows, monos)
     if isinstance(found, int):
         return PlanarityVerdict("obstructed", degree_bound, order_bound,
                                 obstruction_order=found)
-    witness = {monos[i]: v for i, v in found.items()}
-    composed = poly_on_curve(witness, c)
+    composed = poly_on_curve(found, c)
     if not (composed.order() is None or composed.order() > order_bound):
         raise AssertionError("planarity witness failed re-verification")
     return PlanarityVerdict("planar-witness", degree_bound, order_bound,
-                            witness=witness)
+                            witness=found)

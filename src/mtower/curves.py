@@ -7,8 +7,8 @@ from typing import Mapping
 
 from .errors import DomainError
 from .jets import PolyJet3
-from .series import (DEFAULT_TRUNC, TruncSeries, series_from_obj,
-                     series_to_obj)
+from .series import (DEFAULT_TRUNC, TruncSeries, parse_integer,
+                     series_from_obj, series_to_obj)
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ def monomial_curve(ex: int | None, ey: int | None, ez: int | None,
 def curve_from_obj(obj: Mapping[str, object]) -> CurveGerm:
     """Parse the curve file form {"trunc": N, "x": {...}, "y": {...}, "z": {...}}."""
     try:
-        trunc = int(obj["trunc"])  # type: ignore[arg-type]
-    except (KeyError, TypeError, ValueError):
+        trunc = parse_integer(obj["trunc"])
+    except (KeyError, TypeError, DomainError):
         raise DomainError("curve object needs an integer 'trunc' field") from None
     comps = []
     for name in ("x", "y", "z"):

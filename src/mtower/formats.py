@@ -8,7 +8,6 @@ that is not an integer or p/q literal.
 from __future__ import annotations
 
 import json
-import operator
 from typing import Mapping
 
 from .census import CensusReport, RvvvReport
@@ -20,8 +19,8 @@ from .jets import jet_from_obj, jet_to_obj
 from .normalize import (Certificate, EquivalenceResult, JetStep, ReduceResult,
                         ReductionTrace, ReparamStep, ScaleStep, Step,
                         TraceEntry)
-from .series import (TruncSeries, format_rational, parse_rational,
-                     series_from_obj, series_to_obj)
+from .series import (TruncSeries, format_rational, parse_integer,
+                     parse_rational, series_from_obj, series_to_obj)
 from .tower import TowerPoint, make_point
 
 __all__ = [
@@ -52,15 +51,15 @@ def point_to_obj(p: TowerPoint) -> dict:
 
 def point_from_obj(obj: Mapping[str, object]) -> TowerPoint:
     try:
-        level = int(obj["level"])  # type: ignore[arg-type]
+        level = parse_integer(obj["level"])
         raw_chart, raw_coords = obj["chart"], obj["coords"]
         if not isinstance(raw_chart, list) or not isinstance(raw_coords, list):
             raise TypeError("chart and coords must be arrays")
-        chart = [int(d) for d in raw_chart]
-        coords = [parse_rational(c) for c in raw_coords]
-    except (KeyError, TypeError, ValueError):
-        raise DomainError("point object needs level, chart and coords") from None
-    return make_point(level, chart, coords)
+        chart = [parse_integer(d) for d in raw_chart]
+    except (KeyError, TypeError, DomainError):
+        raise DomainError("point object needs an integer 'level', a 'chart' "
+                          "array of integers and a 'coords' array") from None
+    return make_point(level, chart, [parse_rational(c) for c in raw_coords])
 
 
 # -- standalone series / diffeos --------------------------------------------------
@@ -72,9 +71,9 @@ def standalone_series_to_obj(s: TruncSeries) -> dict:
 
 def standalone_series_from_obj(obj: Mapping[str, object]) -> TruncSeries:
     try:
-        trunc = int(obj["trunc"])  # type: ignore[arg-type]
-    except (KeyError, TypeError, ValueError):
-        raise DomainError("series object needs an integer 'trunc'") from None
+        trunc = parse_integer(obj["trunc"])
+    except (KeyError, TypeError, DomainError):
+        raise DomainError("series object needs an integer 'trunc' field") from None
     coeffs = obj.get("coeffs", {})
     if not isinstance(coeffs, Mapping):
         raise DomainError("series 'coeffs' must be an object")
@@ -160,7 +159,7 @@ def certificate_from_obj(obj: Mapping[str, object]) -> Certificate:
     parts = []
     for name, parse in (("phi", diffeo_from_obj),
                         ("tau", standalone_series_from_obj),
-                        ("verified_through", operator.index)):
+                        ("verified_through", parse_integer)):
         try:
             parts.append(parse(obj[name]))  # type: ignore[index]
         except (KeyError, TypeError, DomainError):

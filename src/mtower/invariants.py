@@ -306,8 +306,8 @@ def _obstruction_or_witness(rows: Iterable[dict[int, Fraction]],
                 vec[pivot] = -value
         if any(col in vec for col in linear):
             return {monos[col]: value for col, value in vec.items()}
-    # no row and no linear column: obstructed from the first order on
-    return 1
+    raise AssertionError("every linear column is free or shares its row "
+                         "with a free column")
 
 
 def planarity(c: CurveGerm,
@@ -322,6 +322,9 @@ def planarity(c: CurveGerm,
     """
     if not well_parameterized(c):
         raise DomainError("planarity is decided for well-parameterized germs")
+    if degree_bound < 1 or order_bound < 1:
+        raise DomainError("planarity bounds must be at least 1 "
+                          f"(degree bound {degree_bound}, order bound {order_bound})")
     if order_bound > c.trunc:
         return PlanarityVerdict("undetermined", degree_bound, order_bound)
     monos = [(i, j, k)
@@ -330,7 +333,7 @@ def planarity(c: CurveGerm,
              for j in range(total + 1 - i)
              for k in (total - i - j,)]
     monos.sort(key=lambda m: (sum(m), m))
-    low = c.restrict(max(order_bound, 0))
+    low = c.restrict(order_bound)
     columns = evaluate_polys(({m: Fraction(1)} for m in monos),
                              *on_series(*low.components))
     rows: list[dict[int, Fraction]] = [{} for _ in range(order_bound)]

@@ -251,10 +251,10 @@ def jet_from_obj(obj: Mapping[str, Mapping[str, str]] | Mapping[str, object]) ->
 
     Format: {"degree": D, "phi1": {"i,j,k": "p/q", ...}, "phi2": ..., "phi3": ...}
     """
-    from .series import parse_rational
+    from .series import parse_integer, parse_rational
     try:
-        degree = int(obj["degree"])  # type: ignore[index,arg-type]
-    except (KeyError, TypeError, ValueError):
+        degree = parse_integer(obj["degree"])  # type: ignore[index]
+    except (KeyError, TypeError, DomainError):
         raise DomainError("jet object needs an integer 'degree' field") from None
     comps = []
     for name in ("phi1", "phi2", "phi3"):

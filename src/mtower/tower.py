@@ -319,8 +319,8 @@ def prolong_curve(c: CurveGerm, k: int) -> ProlongedCurve:
         letters.append(_classify(arrangement, direction))
         d = 0 if direction[0] != 0 else (1 if direction[1] != 0 else 2)
         others = [i for i in range(3) if i != d]
-        u_series = derivs[others[0]].divide(derivs[d])
-        v_series = derivs[others[1]].divide(derivs[d])
+        u_series, v_series = derivs[d].quotients(derivs[others[0]],
+                                                 derivs[others[1]])
         arrangement = _next_arrangement(arrangement, direction, d, j)
         chart.append(d)
         coords.extend((u_series.coefficient(0), v_series.coefficient(0)))

@@ -202,10 +202,13 @@ def test_domain_error_exit_code(run, tmp_path):
     assert json.loads(out)["error"]["code"] == "domain-error"
 
 
-def _assert_domain_error(capsys, argv):
+def _assert_domain_error(capsys, argv, field=None):
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert json.loads(captured.out)["error"]["code"] == "domain-error"
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "domain-error"
+    if field is not None:
+        assert repr(field) in error["message"]
     assert "Traceback" not in captured.err
 
 
@@ -259,12 +262,55 @@ def test_point_arrays_must_be_arrays(capsys, tmp_path, chart, coords):
                                   "--point", str(point)])
 
 
+@pytest.mark.parametrize("trunc", ["\u0663", "8", 3.9, 8.0, True, None, [8]])
+def test_curve_trunc_must_be_a_json_integer(capsys, tmp_path, trunc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"trunc": trunc, "x": {"1": "1"}, "y": {}, "z": {}}))
+    _assert_domain_error(capsys, ["rvt", "--curve", str(path), "--level", "1"],
+                         "trunc")
+
+
+@pytest.mark.parametrize("level, chart, field", [
+    ("1", [0], "level"), (1.0, [0], "level"), (True, [0], "level"),
+    (1, ["0"], "chart"), (1, [0.0], "chart"), (1, [False], "chart")])
+def test_point_integers_must_be_json_integers(capsys, tmp_path, level, chart,
+                                              field):
+    diffeo = tmp_path / "phi.json"
+    diffeo.write_text(dumps(diffeo_to_obj(DiffeoJet.from_components(
+        [{(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}], degree=2))))
+    point = tmp_path / "p.json"
+    point.write_text(json.dumps({"level": level, "chart": chart,
+                                 "coords": ["0"] * 5}))
+    _assert_domain_error(capsys, ["apply", "--diffeo", str(diffeo),
+                                  "--point", str(point)], field)
+
+
+@pytest.mark.parametrize("degree", ["2", 2.5, True])
+def test_jet_degree_must_be_a_json_integer(capsys, tmp_path, degree):
+    diffeo = tmp_path / "phi.json"
+    diffeo.write_text(json.dumps({"degree": degree, "phi1": {"1,0,0": "1"},
+                                  "phi2": {"0,1,0": "1"}, "phi3": {"0,0,1": "1"}}))
+    point = tmp_path / "p.json"
+    point.write_text(dumps(point_to_obj(
+        prolong_curve(monomial_curve(1, None, None), 1).point)))
+    _assert_domain_error(capsys, ["apply", "--diffeo", str(diffeo),
+                                  "--point", str(point)], "degree")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bound", "0", "planar"], ["--bound", "-1", "planar"],
+    ["planar", "--degree-bound", "0"], ["planar", "--degree-bound", "-2"]])
+def test_planarity_bounds_below_one_are_domain_errors(capsys, cusp_file, argv):
+    _assert_domain_error(capsys, argv + ["--curve", cusp_file])
+
+
 def test_malformed_certificate_is_a_domain_error():
     good = certificate_to_obj(equivalence_search(
         monomial_curve(2, 3, None, trunc=16),
         monomial_curve(2, 3, None, trunc=16)).certificate)
     for name, bad in (("phi", ["1,0,0"]), ("tau", {"coeffs": {}}),
-                      ("verified_through", "7"), ("verified_through", 7.5)):
+                      ("verified_through", "7"), ("verified_through", 7.5),
+                      ("verified_through", True)):
         missing = {key: value for key, value in good.items() if key != name}
         for obj in (missing, {**good, name: bad}):
             with pytest.raises(DomainError, match=repr(name)):

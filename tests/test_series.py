@@ -4,6 +4,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.ring_series import (rs_mul, rs_series_inversion,
+                                     rs_series_reversion, rs_subs)
+from sympy.polys.rings import ring
 
 from mtower.errors import DomainError, InsufficientTruncation
 from mtower.series import (MAX_TRUNC, TruncSeries, format_rational,
@@ -269,3 +273,113 @@ def test_parse_rejects_floats_and_garbage():
                 " 3", "+3", "3\n", 1, None, [1]):
         with pytest.raises(DomainError):
             parse_rational(bad)
+
+
+# -- the integer kernel against sympy over QQ ----------------------------------------
+#
+# Operands are dense, few-term, monomial or zero, with coefficients of up to
+# about 200 bits and truncations up to MAX_TRUNC; dense operands and units
+# trade coefficient size for length so that the sympy side stays fast. Each
+# expected truncation is restated from the documented rules.
+
+QQ_T, SYM_T = ring("t", QQ)
+
+
+@st.composite
+def kernel_series(draw, max_trunc=MAX_TRUNC, max_bits=200, min_order=0,
+                  unit=False):
+    trunc = draw(st.one_of(st.integers(0, 12), st.integers(0, max_trunc)))
+    kind = draw(st.sampled_from(["dense", "dense", "few", "monomial", "zero"]))
+    bits = draw(st.integers(1, max_bits))
+    if kind == "dense" or unit:
+        bits = min(bits, max(4, 800 // (trunc + 1)))
+    if kind == "dense":
+        degrees = range(min_order, trunc + 1)
+    elif kind == "few":
+        degrees = draw(st.sets(st.integers(min_order, trunc + 2), max_size=4))
+    elif kind == "monomial":
+        degrees = [draw(st.integers(min_order, trunc + 2))]
+    else:
+        degrees = []
+    if unit:
+        degrees = sorted(set(degrees) | {0})
+    size = 2 ** bits
+    numerator = st.integers(-size, size).filter(bool)
+    table = {d: F(draw(numerator), draw(st.integers(1, size))) for d in degrees}
+    return TruncSeries(table, trunc)
+
+
+def to_sympy(s):
+    return QQ_T({(d,): QQ(c.numerator, c.denominator) for d, c in s.terms()})
+
+
+def assert_matches(result, expected, trunc):
+    """``result`` reports ``trunc`` and the coefficients of ``expected``
+    through it."""
+    assert result.trunc == trunc
+    want = {d: F(int(c.numerator), int(c.denominator))
+            for (d,), c in expected.terms() if d <= trunc}
+    assert result.coeffs == want
+
+
+def eff(s):
+    return s.effective_order()
+
+
+@given(kernel_series(), kernel_series())
+@settings(max_examples=60, deadline=None)
+def test_product_matches_sympy(a, b):
+    trunc = min(a.trunc + eff(b), b.trunc + eff(a), MAX_TRUNC)
+    assert_matches(a * b, rs_mul(to_sympy(a), to_sympy(b), SYM_T, trunc + 1),
+                   trunc)
+
+
+@given(kernel_series(unit=True))
+@settings(max_examples=40, deadline=None)
+def test_reciprocal_matches_sympy(a):
+    expected = rs_series_inversion(to_sympy(a), SYM_T, a.trunc + 1)
+    assert_matches(a.reciprocal(), expected, a.trunc)
+
+
+@given(kernel_series(max_trunc=96), kernel_series(max_trunc=96))
+@settings(max_examples=60, deadline=None)
+def test_divide_matches_sympy(a, b):
+    ob = b.order()
+    if ob is None or (a.is_zero() and a.trunc < ob):
+        with pytest.raises(InsufficientTruncation):
+            a.divide(b)
+    elif eff(a) < ob:
+        with pytest.raises(DomainError):
+            a.divide(b)
+    else:
+        trunc = min(a.trunc, b.trunc + eff(a) - ob) - ob
+        num, den = a.shift(-ob), b.shift(-ob)
+        expected = rs_mul(to_sympy(num),
+                          rs_series_inversion(to_sympy(den), SYM_T, trunc + 1),
+                          SYM_T, trunc + 1)
+        assert_matches(a.divide(b), expected, trunc)
+
+
+@given(kernel_series(max_trunc=40, max_bits=16),
+       kernel_series(max_trunc=40, max_bits=16, min_order=1))
+@settings(max_examples=60, deadline=None)
+def test_compose_matches_sympy(a, g):
+    og = eff(g)
+    nonconst = [d for d, _ in a.terms() if d >= 1]
+    trunc = (a.trunc + 1) * og - 1
+    if nonconst:
+        trunc = min(trunc, g.trunc + (min(nonconst) - 1) * og)
+    trunc = min(trunc, MAX_TRUNC)
+    expected = rs_subs(to_sympy(a), {SYM_T: to_sympy(g)}, SYM_T, trunc + 1)
+    assert_matches(a.compose(g), expected, trunc)
+
+
+@given(kernel_series(max_trunc=24, max_bits=16, min_order=1))
+@settings(max_examples=40, deadline=None)
+def test_param_inverse_matches_sympy(s):
+    if s.order() != 1:
+        with pytest.raises(DomainError):
+            s.param_inverse()
+        return
+    expected = rs_series_reversion(to_sympy(s), SYM_T, s.trunc + 1, SYM_T)
+    assert_matches(s.param_inverse(), expected, s.trunc)

@@ -15,7 +15,7 @@ from typing import Callable
 from .census import orbit_census, rvv_point, rvvv_points, verify_rvvv_split
 from .curves import CurveGerm, monomial_curve
 from .diffeo import (DiffeoJet, fiber_action, isotropy_check, prolong_apply,
-                     sample_diffeo, taylor_constraints)
+                     rand_fraction, sample_diffeo, taylor_constraints)
 from .invariants import multiplicity, planarity, semigroup
 from .normalize import apply_certificate, equivalence_search, reduce_catalog
 from .series import TruncSeries
@@ -185,22 +185,17 @@ def criterion_9_hyperplane_geometry() -> str:
 
 def criterion_10_isotropy_constraints() -> str:
     rng = random.Random(0)
-
-    def nonzero():
-        while True:
-            q = F(rng.randint(-5, 5), rng.randint(1, 3))
-            if q:
-                return q
-
     p2 = prolong_curve(monomial_curve(2, 3, None), 2).point
     p3 = rvv_point()
     for _ in range(20):
         phi = sample_diffeo(rng, degree=2, constraints=taylor_constraints("G1"),
-                            forced={(3, (0, 1, 0)): nonzero()})
+                            forced={(3, (0, 1, 0)):
+                                    rand_fraction(rng, allow_zero=False)})
         _check(not isotropy_check(phi, p2), "phi3_y violation went unnoticed")
     for _ in range(20):
         phi = sample_diffeo(rng, degree=2, constraints=taylor_constraints("G2"),
-                            forced={(3, (2, 0, 0)): nonzero()})
+                            forced={(3, (2, 0, 0)):
+                                    rand_fraction(rng, allow_zero=False)})
         _check(not isotropy_check(phi, p3), "phi3_xx violation went unnoticed")
     return "20 + 20 targeted violations all fail their isotropy checks"
 

@@ -22,8 +22,8 @@ from .diffeo import (DiffeoJet, fiber_action, isotropy_check,
                      sample_diffeo, taylor_constraints)
 from .errors import DomainError
 from .series import DEFAULT_TRUNC
-from .tower import (TowerPoint, point_above, point_letters, prolong_curve,
-                    realize_point, rvt_code, word_str)
+from .tower import (TowerPoint, parse_word, point_above, point_letters,
+                    prolong_curve, realize_point, rvt_code, word_str)
 
 _SUCCESSORS = {
     "R": ("R", "V"),
@@ -74,9 +74,9 @@ def representatives(code: str, trunc: int = DEFAULT_TRUNC) -> list[CurveGerm]:
     the planar singularity (t^2, t^{2k+1}, 0); the level-4 vertical chain
     gets the two curves realizing its split. Everything else is empty.
     """
-    word = tuple(_parse(code))
+    word = parse_word(code)
     level = len(word)
-    if word not in {tuple(_parse(c)) for c in LEVEL_CLASSES.get(level, ())}:
+    if word not in {parse_word(c) for c in LEVEL_CLASSES.get(level, ())}:
         raise DomainError(f"{code!r} is not a class at level {level}")
     stripped = word
     while (word_str(stripped) not in NORMAL_FORMS
@@ -91,11 +91,6 @@ def representatives(code: str, trunc: int = DEFAULT_TRUNC) -> list[CurveGerm]:
     if exponents is not None:
         return [monomial_curve(*exponents, trunc=trunc)]
     return []
-
-
-def _parse(code: str) -> Sequence[str]:
-    from .tower import parse_word
-    return parse_word(code)
 
 
 def rvv_point(trunc: int = DEFAULT_TRUNC) -> TowerPoint:

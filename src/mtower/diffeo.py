@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .curves import CurveGerm
 from .errors import DomainError
-from .jets import Mono, PolyJet3
+from .jets import Mono, PolyJet3, monomials
 from .series import DEFAULT_TRUNC, Rational, _as_fraction
 from .tower import TowerPoint, point_above, prolong_curve, realize_point
 
@@ -109,16 +109,11 @@ def fiber_action(phi: DiffeoJet, p: TowerPoint,
         b, c = _as_fraction(pair[0]), _as_fraction(pair[1])
         if b == 0 and c == 0:
             raise DomainError("the zero direction cannot be acted on")
-        q = point_above(p, (Fraction(0), b, c))
-        q_image = prolong_apply(phi, q, trunc)
-        d = q_image.chart[-1]
-        u, v = q_image.fiber_coords(q_image.level)
-        if d == 1:
-            out.append((Fraction(1), v))
-        elif d == 2:
-            out.append((Fraction(0), Fraction(1)))
-        else:
+        q_image = prolong_apply(phi, point_above(p, (Fraction(0), b, c)), trunc)
+        a, b, c = q_image.step_direction(p.level + 1)
+        if a != 0:
             raise AssertionError("image of a vertical direction left the fiber")
+        out.append((b, c))
     return out
 
 
@@ -188,11 +183,7 @@ def sample_diffeo(rng: random.Random, degree: int = 3,
     ``constraints`` zeroes the named Taylor coefficients, ``forced`` pins
     specific ones afterwards; the linear part is resampled until invertible.
     """
-    monos = [(i, j, k)
-             for i in range(degree + 1)
-             for j in range(degree + 1 - i)
-             for k in range(degree + 1 - i - j)
-             if 1 <= i + j + k <= degree]
+    monos = monomials(degree)
     while True:
         comps: list[dict[Mono, Fraction]] = []
         for _ in range(3):

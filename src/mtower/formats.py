@@ -15,7 +15,7 @@ from .curves import curve_from_obj, curve_to_obj
 from .diffeo import DiffeoJet
 from .errors import DomainError
 from .invariants import PlanarityVerdict, Semigroup
-from .jets import jet_from_obj, jet_to_obj
+from .jets import jet_from_obj, jet_to_obj, poly_to_obj
 from .normalize import (Certificate, EquivalenceResult, JetStep, ReduceResult,
                         ReductionTrace, ReparamStep, ScaleStep, Step,
                         TraceEntry)
@@ -171,18 +171,13 @@ def certificate_from_obj(obj: Mapping[str, object]) -> Certificate:
 # -- analysis results -----------------------------------------------------------------
 
 
-def _poly_to_obj(poly: Mapping) -> dict:
-    return {f"{i},{j},{k}": format_rational(c)
-            for (i, j, k), c in sorted(poly.items())}
-
-
 def semigroup_to_obj(s: Semigroup) -> dict:
     return {
         "bound": s.bound,
         "elements": list(s.elements),
         "gaps": list(s.gaps),
         "conductor": s.conductor,
-        "witnesses": {str(e): _poly_to_obj(w) for e, w in sorted(s.witnesses.items())},
+        "witnesses": {str(e): poly_to_obj(w) for e, w in sorted(s.witnesses.items())},
     }
 
 
@@ -191,7 +186,7 @@ def planarity_to_obj(v: PlanarityVerdict) -> dict:
         "kind": v.kind,
         "degree_bound": v.degree_bound,
         "order_bound": v.order_bound,
-        "witness": _poly_to_obj(v.witness) if v.witness is not None else None,
+        "witness": poly_to_obj(v.witness) if v.witness is not None else None,
         "obstruction_order": v.obstruction_order,
     }
 

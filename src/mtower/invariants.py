@@ -15,7 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .curves import CurveGerm
 from .errors import DomainError, InsufficientTruncation
-from .jets import Mono, PolyTable, evaluate_polys, on_series
+from .jets import (Mono, PolyTable, evaluate_polys, monomials, on_series,
+                   subtract_scaled)
 from .series import TruncSeries
 
 #: Default certification bound for semigroups.
@@ -113,16 +114,6 @@ def poly_on_curve(poly: Mapping[Mono, Fraction], c: CurveGerm) -> TruncSeries:
     return next(evaluate_polys([poly], *on_series(*c.components)))
 
 
-def _subtract(target: dict, factor: Fraction, source: Mapping) -> None:
-    """target -= factor * source, dropping entries that become zero."""
-    for key, coeff in source.items():
-        value = target.get(key, Fraction(0)) - factor * coeff
-        if value == 0:
-            target.pop(key, None)
-        else:
-            target[key] = value
-
-
 def _monomials_within(orders: Sequence[int | None], bound: int) -> list[Mono]:
     """Exponent triples whose composition order can reach the bound."""
     out: list[Mono] = []
@@ -174,8 +165,8 @@ def semigroup(c: CurveGerm, bound: int = DEFAULT_SEMIGROUP_BOUND) -> Semigroup:
                 break
             pvec, pwit = pivots[lead]
             factor = vec[lead] / pvec[lead]
-            _subtract(vec, factor, pvec)
-            _subtract(wit, factor, pwit)
+            subtract_scaled(vec, factor, pvec)
+            subtract_scaled(wit, factor, pwit)
     elements = tuple(sorted(pivots))
     gaps = tuple(n for n in range(1, bound + 1) if n not in pivots)
     conductor = None
@@ -285,14 +276,14 @@ def _obstruction_or_witness(rows: Iterable[dict[int, Fraction]],
         # basis rows vanish in each other's pivot columns, so one pass clears
         # every pivot column of the new row
         for pivot in [col for col in row if col in basis]:
-            _subtract(row, row[pivot], basis[pivot])
+            subtract_scaled(row, row[pivot], basis[pivot])
         if row:
             lead = min(row)
             scale = row[lead]
             row = {col: coeff / scale for col, coeff in row.items()}
             for other in basis.values():
                 if lead in other:
-                    _subtract(other, other[lead], row)
+                    subtract_scaled(other, other[lead], row)
             basis[lead] = row
         if all(len(basis.get(col, ())) == 1 for col in linear):
             return count
@@ -327,12 +318,7 @@ def planarity(c: CurveGerm,
                           f"(degree bound {degree_bound}, order bound {order_bound})")
     if order_bound > c.trunc:
         return PlanarityVerdict("undetermined", degree_bound, order_bound)
-    monos = [(i, j, k)
-             for total in range(1, degree_bound + 1)
-             for i in range(total + 1)
-             for j in range(total + 1 - i)
-             for k in (total - i - j,)]
-    monos.sort(key=lambda m: (sum(m), m))
+    monos = sorted(monomials(degree_bound), key=lambda m: (sum(m), m))
     low = c.restrict(order_bound)
     columns = evaluate_polys(({m: Fraction(1)} for m in monos),
                              *on_series(*low.components))

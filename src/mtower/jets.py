@@ -15,7 +15,8 @@ from functools import reduce
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import DomainError
-from .series import Rational, TruncSeries, _as_fraction
+from .series import (Rational, TruncSeries, _as_fraction, format_rational,
+                     parse_integer, parse_rational)
 
 Mono = tuple[int, int, int]
 PolyTable = dict[Mono, Fraction]
@@ -53,11 +54,27 @@ def _poly_mul(a: PolyTable, b: PolyTable, degree: int) -> PolyTable:
     return {m: c for m, c in out.items() if c != 0}
 
 
-def _poly_add(a: PolyTable, b: PolyTable, scale: Fraction = Fraction(1)) -> PolyTable:
-    out = dict(a)
-    for mono, c in b.items():
-        out[mono] = out.get(mono, Fraction(0)) + scale * c
-    return {m: c for m, c in out.items() if c != 0}
+def subtract_scaled(target: dict, factor: Fraction, source: Mapping) -> None:
+    """target -= factor * source, dropping entries that become zero.
+
+    The one sparse accumulate: polynomial sums, jet inversion and the
+    elimination rows of the invariants all go through it.
+    """
+    for key, coeff in source.items():
+        value = target.get(key, Fraction(0)) - factor * coeff
+        if value == 0:
+            target.pop(key, None)
+        else:
+            target[key] = value
+
+
+def monomials(degree: int) -> list[Mono]:
+    """Exponent triples of total degree 1..``degree``, in lexicographic order."""
+    return [(i, j, k)
+            for i in range(degree + 1)
+            for j in range(degree + 1 - i)
+            for k in range(degree + 1 - i - j)
+            if i + j + k]
 
 
 def evaluate_polys(polys: Iterable[Mapping[Mono, Fraction]],
@@ -103,7 +120,7 @@ def on_series(sx: TruncSeries, sy: TruncSeries, sz: TruncSeries) -> tuple:
 def _poly_scaled_sum(terms: Iterator[tuple[Fraction, PolyTable]]) -> PolyTable:
     acc: PolyTable = {}
     for c, term in terms:
-        acc = _poly_add(acc, term, c)
+        subtract_scaled(acc, -c, term)
     return acc
 
 
@@ -232,17 +249,17 @@ class PolyJet3:
         ]
         linv = PolyJet3.from_linear(
             [[v / det for v in row] for row in adj], deg)
-        ident = PolyJet3.identity(deg)
         psi = linv
         # Each pass corrects one more total degree.
         for _ in range(2, deg + 1):
-            err_comps = self.compose(psi, deg)._comps
-            delta = [_poly_add(err_comps[i], ident._comps[i], Fraction(-1))
-                     for i in range(3)]
-            corr = list(evaluate_polys(linv._comps, *_on_polys(delta, deg)))
-            psi = PolyJet3(
-                [_poly_add(psi._comps[i], corr[i], Fraction(-1)) for i in range(3)],
-                deg)
+            delta = self.compose(psi, deg).components
+            for table, axis in zip(delta, _AXES):
+                subtract_scaled(table, Fraction(1), {axis: Fraction(1)})
+            comps = psi.components
+            corr = evaluate_polys(linv._comps, *_on_polys(delta, deg))
+            for table, c in zip(comps, corr):
+                subtract_scaled(table, Fraction(1), c)
+            psi = PolyJet3(comps, deg)
         return psi
 
 
@@ -251,7 +268,6 @@ def jet_from_obj(obj: Mapping[str, Mapping[str, str]] | Mapping[str, object]) ->
 
     Format: {"degree": D, "phi1": {"i,j,k": "p/q", ...}, "phi2": ..., "phi3": ...}
     """
-    from .series import parse_integer, parse_rational
     try:
         degree = parse_integer(obj["degree"])  # type: ignore[index]
     except (KeyError, TypeError, DomainError):
@@ -271,10 +287,14 @@ def jet_from_obj(obj: Mapping[str, Mapping[str, str]] | Mapping[str, object]) ->
     return PolyJet3(comps, degree)
 
 
+def poly_to_obj(poly: Mapping[Mono, Fraction]) -> dict:
+    """JSON form of a polynomial: {"i,j,k": "p/q"} in sorted monomial order."""
+    return {f"{i},{j},{k}": format_rational(c)
+            for (i, j, k), c in sorted(poly.items())}
+
+
 def jet_to_obj(jet: PolyJet3) -> dict:
-    from .series import format_rational
     out: dict = {"degree": jet.degree}
-    for name, comp in zip(("phi1", "phi2", "phi3"), jet.components):
-        out[name] = {f"{i},{j},{k}": format_rational(c)
-                     for (i, j, k), c in sorted(comp.items())}
+    for name, comp in zip(("phi1", "phi2", "phi3"), jet._comps):
+        out[name] = poly_to_obj(comp)
     return out

@@ -16,10 +16,10 @@ from .catalog import NORMAL_FORMS, normal_form_curves
 from .curves import CurveGerm
 from .diffeo import DiffeoJet
 from .errors import DomainError, MTError
-from .invariants import (DEFAULT_SEMIGROUP_BOUND, Semigroup, multiplicity,
-                         planarity, poly_on_curve, semigroup,
-                         well_parameterized)
-from .jets import Mono, PolyJet3
+from .invariants import (DEFAULT_PLANARITY_ORDER, DEFAULT_SEMIGROUP_BOUND,
+                         Semigroup, multiplicity, planarity, poly_on_curve,
+                         semigroup, well_parameterized)
+from .jets import Mono, PolyJet3, subtract_scaled
 from .series import TruncSeries
 from .tower import rvt_code, word_str
 
@@ -88,15 +88,15 @@ class ReductionTrace:
     def steps(self) -> tuple[Step, ...]:
         return tuple(e.step for e in self.entries)
 
-    def replay(self, c: CurveGerm, verify: bool = True) -> CurveGerm:
-        """Re-execute the steps on ``c``; with ``verify`` the snapshots must
-        be reproduced exactly up to the available truncation."""
+    def replay(self, c: CurveGerm) -> CurveGerm:
+        """Re-execute the steps on ``c``; the snapshots must be reproduced
+        exactly up to the available truncation."""
         cur = c
         for entry in self.entries:
-            if verify and not cur.agrees_with(entry.before):
+            if not cur.agrees_with(entry.before):
                 raise DomainError("trace replay diverged from its before-snapshot")
             cur = apply_step(cur, entry.step)
-            if verify and not cur.agrees_with(entry.after):
+            if not cur.agrees_with(entry.after):
                 raise DomainError("trace replay diverged from its after-snapshot")
         return cur
 
@@ -206,12 +206,9 @@ def zariski_step(c: CurveGerm) -> StepResult:
 
 def _removal_jet(component: int, witness: dict[Mono, Fraction],
                  scale: Fraction) -> DiffeoJet:
-    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    comps: list[dict[Mono, Fraction]] = [{axes[i]: Fraction(1)} for i in range(3)]
-    table = comps[component]
-    for mono, coeff in witness.items():
-        table[mono] = table.get(mono, Fraction(0)) - scale * coeff
     degree = max(max(sum(m) for m in witness), 1)
+    comps = PolyJet3.identity(degree).components
+    subtract_scaled(comps[component], scale, witness)
     return DiffeoJet(PolyJet3(comps, degree))
 
 
@@ -446,8 +443,7 @@ def apply_certificate(cert: Certificate, c: CurveGerm) -> CurveGerm:
 
 
 def equivalence_search(c1: CurveGerm, c2: CurveGerm,
-                       bound: int = DEFAULT_SEMIGROUP_BOUND,
-                       planarity_order: int = 40) -> EquivalenceResult:
+                       bound: int = DEFAULT_SEMIGROUP_BOUND) -> EquivalenceResult:
     """Decide RL-equivalence within budget: separate by invariants, or
     normalize both curves and compose the traces into a certificate.
 
@@ -462,7 +458,7 @@ def equivalence_search(c1: CurveGerm, c2: CurveGerm,
                             TruncSeries.identity(min(c1.trunc, c2.trunc)),
                             min(c1.trunc, c2.trunc))
         return EquivalenceResult("equivalent", certificate=ident)
-    sep = _separate(c1, c2, bound, planarity_order)
+    sep = _separate(c1, c2, bound)
     if sep is not None:
         return EquivalenceResult("separated", separation=sep)
     r1, t1, n1 = _pipeline(c1, bound)
@@ -486,8 +482,7 @@ def equivalence_search(c1: CurveGerm, c2: CurveGerm,
         "normal forms differ but no separating invariant was found",))
 
 
-def _separate(c1: CurveGerm, c2: CurveGerm, bound: int,
-              planarity_order: int) -> Separation | None:
+def _separate(c1: CurveGerm, c2: CurveGerm, bound: int) -> Separation | None:
     m1, m2 = multiplicity(c1), multiplicity(c2)
     if m1 != m2:
         return Separation("multiplicity", str(m1), str(m2))
@@ -501,7 +496,7 @@ def _separate(c1: CurveGerm, c2: CurveGerm, bound: int,
             return Separation("rvt code", word_str(w1), word_str(w2))
     except MTError:
         pass
-    order = min(planarity_order, c1.trunc, c2.trunc)
+    order = min(DEFAULT_PLANARITY_ORDER, c1.trunc, c2.trunc)
     v1 = planarity(c1, order_bound=order)
     v2 = planarity(c2, order_bound=order)
     if v1.kind != v2.kind and "undetermined" not in (v1.kind, v2.kind):

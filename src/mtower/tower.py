@@ -30,7 +30,7 @@ tangent line to the projectivized kernel inside the new fiber.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -101,9 +101,23 @@ class TowerPoint:
         base = 3 + 2 * (j - 1)
         return self.coords[base], self.coords[base + 1]
 
+    def step_direction(self, j: int) -> Direction:
+        """Direction centered by chart step ``j``, in the coframe of level j - 1."""
+        return _step_direction(self.chart[j - 1], *self.fiber_coords(j))
+
+
+def _center(direction: Direction) -> tuple[int, Fraction, Fraction]:
+    """Chart step centered on a nonzero direction: the denominator is its
+    first nonzero coordinate, and the two remaining ratios, in priority
+    order, are the new fiber coordinates (u, v)."""
+    d = next(i for i, x in enumerate(direction) if x != 0)
+    u, v = (direction[i] / direction[d] for i in range(3) if i != d)
+    return d, u, v
+
 
 def _step_direction(d: int, u: Fraction, v: Fraction) -> Direction:
-    """Direction centered by a chart step with fiber coordinates (u, v)."""
+    """Direction centered by a chart step with fiber coordinates (u, v);
+    the inverse of :func:`_center`."""
     if d == 0:
         return (Fraction(1), u, v)
     if d == 1:
@@ -184,16 +198,14 @@ def classify_direction(p: TowerPoint, direction: Sequence[Rational]) -> str:
     return _classify(p.arrangement, _as_direction(direction))
 
 
-def _reconstruct(level: int, chart: Sequence[int],
-                 coords: Sequence[Fraction]) -> tuple[Arrangement, tuple[str, ...]]:
+def _reconstruct(p: TowerPoint) -> tuple[Arrangement, RVTWord]:
+    """Arrangement and letters of ``p`` from its chart steps alone."""
     arrangement: Arrangement = ()
     letters: list[str] = []
-    for j in range(1, level + 1):
-        d = chart[j - 1]
-        u, v = coords[3 + 2 * (j - 1)], coords[4 + 2 * (j - 1)]
-        direction = _step_direction(d, u, v)
+    for j in range(1, p.level + 1):
+        direction = p.step_direction(j)
         letters.append(_classify(arrangement, direction))
-        arrangement = _next_arrangement(arrangement, direction, d, j)
+        arrangement = _next_arrangement(arrangement, direction, p.chart[j - 1], j)
     return arrangement, tuple(letters)
 
 
@@ -208,35 +220,27 @@ def make_point(level: int, chart: Sequence[int],
         raise DomainError(f"a level-{level} point has {3 + 2 * level} coordinates")
     if any(d not in (0, 1, 2) for d in chart):
         raise DomainError("chart steps must be 0, 1 or 2")
-    qcoords = tuple(_as_fraction(c) for c in coords)
+    bare = TowerPoint(level, tuple(chart),
+                      tuple(_as_fraction(c) for c in coords), ())
     for j in range(1, level + 1):
+        # each step must be the chart that centering its own direction picks
         d = chart[j - 1]
-        u, v = qcoords[3 + 2 * (j - 1)], qcoords[4 + 2 * (j - 1)]
-        if d == 1 and u != 0:
-            raise DomainError(
-                f"chart step {j} uses the u-form denominator, so u_{j} must be 0")
-        if d == 2 and (u != 0 or v != 0):
-            raise DomainError(
-                f"chart step {j} uses the v-form denominator, so u_{j} and v_{j} must be 0")
-    arrangement, _ = _reconstruct(level, tuple(chart), qcoords)
-    return TowerPoint(level, tuple(chart), qcoords, arrangement)
+        if _center(bare.step_direction(j))[0] != d:
+            form, zero = ("u", f"u_{j}") if d == 1 else ("v", f"u_{j} and v_{j}")
+            raise DomainError(f"chart step {j} uses the {form}-form "
+                              f"denominator, so {zero} must be 0")
+    arrangement, _ = _reconstruct(bare)
+    return replace(bare, arrangement=arrangement)
 
 
 def point_letters(p: TowerPoint) -> RVTWord:
     """RVT word of the point itself (one letter per level)."""
-    _, letters = _reconstruct(p.level, p.chart, p.coords)
-    return letters
+    return _reconstruct(p)[1]
 
 
 def point_above(p: TowerPoint, direction: Sequence[Rational]) -> TowerPoint:
     """The point one level up centered on a direction at ``p``."""
-    a, b, c = _as_direction(direction)
-    if a != 0:
-        d, u, v = 0, b / a, c / a
-    elif b != 0:
-        d, u, v = 1, a / b, c / b
-    else:
-        d, u, v = 2, a / c, b / c
+    d, u, v = _center(_as_direction(direction))
     return make_point(p.level + 1, p.chart + (d,), p.coords + (u, v))
 
 
@@ -317,13 +321,12 @@ def prolong_curve(c: CurveGerm, k: int) -> ProlongedCurve:
         derivs = [s.derivative() for s in active]
         direction, _ = _direction_of(derivs, j)
         letters.append(_classify(arrangement, direction))
-        d = 0 if direction[0] != 0 else (1 if direction[1] != 0 else 2)
-        others = [i for i in range(3) if i != d]
-        u_series, v_series = derivs[d].quotients(derivs[others[0]],
-                                                 derivs[others[1]])
+        d, u, v = _center(direction)
+        u_series, v_series = derivs[d].quotients(
+            *(derivs[i] for i in range(3) if i != d))
         arrangement = _next_arrangement(arrangement, direction, d, j)
         chart.append(d)
-        coords.extend((u_series.coefficient(0), v_series.coefficient(0)))
+        coords.extend((u, v))
         series.extend((u_series, v_series))
         active = [active[d], u_series, v_series]
     point = TowerPoint(k, tuple(chart), tuple(coords), arrangement)
@@ -419,12 +422,7 @@ def realize_point(p: TowerPoint, trunc: int = DEFAULT_TRUNC,
         direction = (Fraction(1), s, r)
         if any(h.contains(direction) for h in p.arrangement):
             raise DomainError("requested tangent is a critical direction")
-    k = p.level
-    index_chain = [(0, 1, 2)]
-    for j, d in enumerate(p.chart, start=1):
-        prev = index_chain[-1]
-        index_chain.append((prev[d], 3 + 2 * (j - 1), 4 + 2 * (j - 1)))
-    top = index_chain[k]
+    top = active_indices(p.chart)
     w = TruncSeries({0: p.coords[top[0]], 1: 1}, trunc)
     u = TruncSeries({0: p.coords[top[1]], 1: s}, trunc)
     v = TruncSeries({0: p.coords[top[2]], 1: r}, trunc)
@@ -435,17 +433,14 @@ def realize_point(p: TowerPoint, trunc: int = DEFAULT_TRUNC,
         u = u + tail_u
         v = v + tail_v
     triple: list[TruncSeries] = [w, u, v]
-    for j in range(k, 0, -1):
+    for j in range(p.level, 0, -1):
         d = p.chart[j - 1]
-        prev = index_chain[j - 1]
+        prev = active_indices(p.chart[:j - 1])
         denom = triple[0]
         dden = denom.derivative()
+        level_below = [denom] * 3
         missing = [i for i in range(3) if i != d]
-        level_below: list[TruncSeries] = [denom, denom, denom]
-        level_below[d] = denom
-        level_below[missing[0]] = (triple[1] * dden).integral(
-            p.coords[prev[missing[0]]])
-        level_below[missing[1]] = (triple[2] * dden).integral(
-            p.coords[prev[missing[1]]])
+        for i, fiber in zip(missing, triple[1:]):
+            level_below[i] = (fiber * dden).integral(p.coords[prev[i]])
         triple = level_below
     return CurveGerm(*(s.restrict(trunc) for s in triple))

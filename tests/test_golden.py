@@ -43,6 +43,8 @@ CASES = {
     "equiv": ["equiv", "--left", "c16.json", "--right", "m16.json"],
     "equiv-planar": ["equiv", "--left", "q24.json", "--right", "n24.json"],
     "equiv-separated": ["equiv", "--left", "m24.json", "--right", "s24.json"],
+    # the only case that runs fiber_action (the scaling images)
+    "verify-rvvv": ["--seed", "3", "verify", "--suite", "rvvv"],
 }
 
 

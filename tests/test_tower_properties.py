@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from mtower.curves import CurveGerm
 from mtower.errors import MTError
 from mtower.series import TruncSeries
-from mtower.tower import (point_letters, project_point, prolong_curve,
-                          realize_point)
+from mtower.tower import (classify_direction, point_above, point_letters,
+                          project_point, prolong_curve, realize_point)
 
 F = Fraction
 
@@ -32,6 +32,30 @@ def germ_curves(draw):
             table[draw(st.integers(base + 1, 12))] = draw(small)
         comps.append(TruncSeries(table, trunc))
     return CurveGerm(*comps)
+
+
+@st.composite
+def directions(draw):
+    """Nonzero chart-frame directions whose first zero, one or two
+    coordinates vanish, so every chart denominator is drawn."""
+    lead = draw(st.integers(0, 2))
+    pivot = draw(nonzero) * draw(st.sampled_from((1, -1)))
+    return (F(0),) * lead + (pivot,) + tuple(draw(small) for _ in range(2 - lead))
+
+
+@given(germ_curves(), st.integers(1, 3), directions())
+@settings(max_examples=60, deadline=None)
+def test_point_above_centers_on_its_direction(c, k, delta):
+    try:
+        p = prolong_curve(c, k).point
+    except MTError:
+        return
+    q = point_above(p, delta)
+    step = q.step_direction(q.level)
+    d = next(i for i, x in enumerate(delta) if x != 0)
+    scale = step[d] / delta[d]
+    assert scale != 0 and step == tuple(scale * x for x in delta)
+    assert point_letters(q)[-1] == classify_direction(p, delta)
 
 
 @given(germ_curves(), st.integers(2, 3))

@@ -156,8 +156,8 @@ def _run(args: argparse.Namespace) -> int:
         _emit(formats.planarity_to_obj(v))
     elif args.verb == "reduce":
         bound = args.bound if args.bound is not None else DEFAULT_SEMIGROUP_BOUND
-        result = reduce_catalog(_load_curve(args.curve), bound)
-        _emit(formats.reduce_to_obj(result))
+        # the result is released before its (large) JSON text is made
+        _emit(formats.reduce_to_obj(reduce_catalog(_load_curve(args.curve), bound)))
     elif args.verb == "equiv":
         bound = args.bound if args.bound is not None else DEFAULT_SEMIGROUP_BOUND
         result = equivalence_search(_load_curve(args.left),

@@ -35,7 +35,13 @@ __all__ = [
 
 def dumps(obj: object) -> str:
     """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    # the newline joins the chunks, so the text is not copied once more
+    chunks = list(_ENCODER.iterencode(obj))
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=2)
 
 
 # -- points --------------------------------------------------------------------
@@ -127,11 +133,15 @@ def _step_from_obj(obj: object) -> Step:
 
 
 def trace_to_obj(trace: ReductionTrace) -> dict:
-    return {"steps": [
-        {**_step_to_obj(e.step),
-         "before": curve_to_obj(e.before),
-         "after": curve_to_obj(e.after)}
-        for e in trace.entries]}
+    steps: list[dict] = []
+    last, after = None, None
+    for e in trace.entries:
+        # a step usually starts from the curve the previous one produced, and
+        # then shares its JSON form
+        before = after if e.before is last else curve_to_obj(e.before)
+        last, after = e.after, curve_to_obj(e.after)
+        steps.append({**_step_to_obj(e.step), "before": before, "after": after})
+    return {"steps": steps}
 
 
 def trace_from_obj(obj: Mapping[str, object]) -> ReductionTrace:

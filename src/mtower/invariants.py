@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .curves import CurveGerm
 from .errors import DomainError, InsufficientTruncation
-from .jets import (Mono, PolyTable, evaluate_polys, monomials, on_series,
-                   subtract_scaled)
+from .jets import (Mono, PolyTable, evaluate_polys, integer_poly, monomials,
+                   on_series, subtract_scaled)
 from .series import TruncSeries
 
 #: Default certification bound for semigroups.
@@ -111,7 +111,7 @@ def _order_decomposition(target: int,
 
 def poly_on_curve(poly: Mapping[Mono, Fraction], c: CurveGerm) -> TruncSeries:
     """Compose a polynomial in (x, y, z) with the curve."""
-    return next(evaluate_polys([poly], *on_series(*c.components)))
+    return next(evaluate_polys([integer_poly(poly)], *on_series(*c.components)))
 
 
 def _monomials_within(orders: Sequence[int | None], bound: int) -> list[Mono]:
@@ -150,7 +150,7 @@ def semigroup(c: CurveGerm, bound: int = DEFAULT_SEMIGROUP_BOUND) -> Semigroup:
     orders = tuple(s.order() for s in c.components)
     usable = tuple(o if o is not None and o <= bound else None for o in orders)
     monos = _monomials_within(usable, bound)
-    columns = evaluate_polys(({m: Fraction(1)} for m in monos),
+    columns = evaluate_polys((({m: 1}, 1) for m in monos),
                              *on_series(*c.restrict(bound).components))
     rows = [(series.coeffs, {mono: Fraction(1)})
             for mono, series in zip(monos, columns)]
@@ -320,7 +320,7 @@ def planarity(c: CurveGerm,
         return PlanarityVerdict("undetermined", degree_bound, order_bound)
     monos = sorted(monomials(degree_bound), key=lambda m: (sum(m), m))
     low = c.restrict(order_bound)
-    columns = evaluate_polys(({m: Fraction(1)} for m in monos),
+    columns = evaluate_polys((({m: 1}, 1) for m in monos),
                              *on_series(*low.components))
     rows: list[dict[int, Fraction]] = [{} for _ in range(order_bound)]
     for i, s in enumerate(columns):

@@ -1,10 +1,12 @@
 """Polynomial jets of maps (R^3, 0) -> R^3 with exact rational coefficients.
 
-A :class:`PolyJet3` is a triple of polynomials in (x, y, z), each stored as a
-sparse table keyed by exponent triples and truncated at a common total
-degree. Jets compose, substitute into curves, and invert (when the linear
-part is invertible); these are the raw moves behind the prolonged action of
-diffeomorphism germs.
+A :class:`PolyJet3` is a triple of polynomials in (x, y, z) truncated at a
+common total degree. Each polynomial is stored the way a series is: a sparse
+table of integer numerators keyed by exponent triples over one positive
+denominator, with no zero entries and the gcd content divided out, and every
+query returns lowest-terms :class:`fractions.Fraction`. Jets compose,
+substitute into curves, and invert (when the linear part is invertible);
+these are the raw moves behind the prolonged action of diffeomorphism germs.
 """
 
 from __future__ import annotations
@@ -12,53 +14,104 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import reduce
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import DomainError
 from .series import (Rational, TruncSeries, _as_fraction, format_rational,
-                     parse_integer, parse_rational)
+                     linear_combination, parse_integer, parse_rational)
 
 Mono = tuple[int, int, int]
 PolyTable = dict[Mono, Fraction]
+#: A polynomial as integer numerators over one positive denominator.
+IntPoly = tuple[dict[Mono, int], int]
 
 _ZERO = (0, 0, 0)
 _AXES: tuple[Mono, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-_MONO_KEY = re.compile(r"[0-9]+,[0-9]+,[0-9]+")
+_EXPONENT = r"(?:0|[1-9][0-9]*)"  # canonical decimal, no leading zero
+_MONO_KEY = re.compile(rf"{_EXPONENT},{_EXPONENT},{_EXPONENT}")
 
 T = TypeVar("T")
 
 
-def _clean(table: Mapping[Mono, Rational], degree: int) -> PolyTable:
-    out: PolyTable = {}
+# -- the integer kernel ----------------------------------------------------------
+
+
+def integer_poly(table: Mapping[Mono, Rational],
+                 degree: int | None = None) -> IntPoly:
+    """``table`` in canonical integer form, without the monomials of total
+    degree above ``degree``."""
+    fractions: PolyTable = {}
     for mono, value in table.items():
         i, j, k = mono
         if i < 0 or j < 0 or k < 0:
             raise DomainError("monomial exponents must be non-negative")
-        if i + j + k > degree:
+        if degree is not None and i + j + k > degree:
             continue
         q = _as_fraction(value)
         if q != 0:
-            out[(i, j, k)] = q
-    return out
+            fractions[(i, j, k)] = q
+    # lowest-terms coefficients over their lcm already have content 1
+    den = lcm(*(q.denominator for q in fractions.values()))
+    return ({m: q.numerator * (den // q.denominator) for m, q in fractions.items()},
+            den)
 
 
-def _poly_mul(a: PolyTable, b: PolyTable, degree: int) -> PolyTable:
-    out: PolyTable = {}
-    for (i1, j1, k1), c1 in a.items():
-        for (i2, j2, k2), c2 in b.items():
-            i, j, k = i1 + i2, j1 + j2, k1 + k2
-            if i + j + k > degree:
-                continue
-            mono = (i, j, k)
-            out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-    return {m: c for m, c in out.items() if c != 0}
+def _canonical(num: dict[Mono, int], den: int) -> IntPoly:
+    """num/den without zero entries and with the gcd content divided out."""
+    num = {m: x for m, x in num.items() if x}
+    if not num:
+        return num, 1
+    common = gcd(den, *num.values())
+    if common > 1:
+        num = {m: x // common for m, x in num.items()}
+        den //= common
+    return num, den
+
+
+def _truncated(poly: IntPoly, degree: int) -> IntPoly:
+    num, den = poly
+    if all(sum(m) <= degree for m in num):
+        return poly
+    return _canonical({m: x for m, x in num.items() if sum(m) <= degree}, den)
+
+
+def _poly_mul(a: IntPoly, b: IntPoly, degree: int) -> IntPoly:
+    """The product a*b truncated at total degree ``degree``.
+
+    The inner operand is visited in order of total degree, so each inner
+    loop ends at the first term that would pass the truncation.
+    """
+    inner = sorted((sum(m), m, x) for m, x in b[0].items())
+    out: dict[Mono, int] = {}
+    for (i1, j1, k1), x1 in a[0].items():
+        room = degree - i1 - j1 - k1
+        for d2, (i2, j2, k2), x2 in inner:
+            if d2 > room:
+                break
+            mono = (i1 + i2, j1 + j2, k1 + k2)
+            out[mono] = out.get(mono, 0) + x1 * x2
+    return _canonical(out, a[1] * b[1])
+
+
+def _poly_scaled_sum(terms: Iterable[tuple[int, IntPoly]], den: int) -> IntPoly:
+    """(sum of c * poly over ``terms``) / ``den``, integer c and den > 0."""
+    terms = list(terms)
+    common = lcm(*(d for _, (_, d) in terms))
+    acc: dict[Mono, int] = {}
+    for c, (num, d) in terms:
+        c *= common // d
+        for m, x in num.items():
+            acc[m] = acc.get(m, 0) + c * x
+    return _canonical(acc, common * den)
 
 
 def subtract_scaled(target: dict, factor: Fraction, source: Mapping) -> None:
-    """target -= factor * source, dropping entries that become zero.
+    """target -= factor * source on ``Fraction`` tables, dropping entries
+    that become zero.
 
-    The one sparse accumulate: polynomial sums, jet inversion and the
-    elimination rows of the invariants all go through it.
+    The sparse accumulate of the elimination rows of the invariants and of
+    the removal jets of the reduction.
     """
     for key, coeff in source.items():
         value = target.get(key, Fraction(0)) - factor * coeff
@@ -77,16 +130,18 @@ def monomials(degree: int) -> list[Mono]:
             if i + j + k]
 
 
-def evaluate_polys(polys: Iterable[Mapping[Mono, Fraction]],
+def evaluate_polys(polys: Iterable[IntPoly],
                    images: Sequence[T], one: T, mul: Callable[[T, T], T],
-                   scaled_sum: Callable[[Iterator[tuple[Fraction, T]]], T],
+                   scaled_sum: Callable[[Iterator[tuple[int, T]], int], T],
                    ) -> Iterator[T]:
     """Evaluate each polynomial at (x, y, z) = ``images``, one result per polynomial.
 
-    ``one`` is the images' unit, ``mul`` their truncated product and
-    ``scaled_sum`` adds up (coefficient, term) pairs. Every power of an axis is
-    computed once per call and shared by all the polynomials; the polynomials
-    and their terms are read and evaluated lazily.
+    The polynomials are in integer form (:func:`integer_poly`). ``one`` is the
+    images' unit, ``mul`` their truncated product and ``scaled_sum(terms,
+    den)`` adds up the (integer numerator, term) pairs and divides by the
+    polynomial's denominator once. Every power of an axis is computed once
+    per call and shared by all the polynomials; the polynomials are read and
+    evaluated lazily, one at a time.
     """
     powers = [[one, image] for image in images]
 
@@ -100,8 +155,8 @@ def evaluate_polys(polys: Iterable[Mapping[Mono, Fraction]],
         factors = [power(axis, n) for axis, n in enumerate(mono) if n]
         return reduce(mul, factors) if factors else one
 
-    for poly in polys:
-        yield scaled_sum((c, term(mono)) for mono, c in poly.items())
+    for num, den in polys:
+        yield scaled_sum(((x, term(mono)) for mono, x in num.items()), den)
 
 
 def on_series(sx: TruncSeries, sy: TruncSeries, sz: TruncSeries) -> tuple:
@@ -113,24 +168,21 @@ def on_series(sx: TruncSeries, sy: TruncSeries, sz: TruncSeries) -> tuple:
     trunc = min(sx.trunc, sy.trunc, sz.trunc)
     return ((sx.restrict(trunc), sy.restrict(trunc), sz.restrict(trunc)),
             TruncSeries({0: 1}, trunc), lambda a, b: (a * b).restrict(trunc),
-            lambda terms: sum((t.scale(c) for c, t in terms),
-                              TruncSeries.zero(trunc)))
+            lambda terms, den: linear_combination(terms, den, trunc))
 
 
-def _poly_scaled_sum(terms: Iterator[tuple[Fraction, PolyTable]]) -> PolyTable:
-    acc: PolyTable = {}
-    for c, term in terms:
-        subtract_scaled(acc, -c, term)
-    return acc
-
-
-def _on_polys(comps: Sequence[PolyTable], degree: int) -> tuple:
+def _on_polys(comps: Sequence[IntPoly], degree: int) -> tuple:
     """Arguments of :func:`evaluate_polys` for substituting three polynomials,
     truncated at total degree ``degree``."""
-    images = tuple({m: c for m, c in comp.items() if sum(m) <= degree}
-                   for comp in comps)
-    return (images, {_ZERO: Fraction(1)},
+    return (tuple(_truncated(comp, degree) for comp in comps), ({_ZERO: 1}, 1),
             lambda a, b: _poly_mul(a, b, degree), _poly_scaled_sum)
+
+
+def _jet(comps: Sequence[IntPoly], degree: int) -> "PolyJet3":
+    """The jet with canonical components ``comps``, none above ``degree``."""
+    jet = object.__new__(PolyJet3)
+    jet._comps, jet._degree = tuple(comps), degree
+    return jet
 
 
 class PolyJet3:
@@ -144,7 +196,7 @@ class PolyJet3:
         if len(components) != 3:
             raise DomainError("a 3-space jet needs exactly three components")
         self._degree = degree
-        self._comps = tuple(_clean(c, degree) for c in components)
+        self._comps = tuple(integer_poly(c, degree) for c in components)
 
     # -- construction ---------------------------------------------------
 
@@ -173,21 +225,23 @@ class PolyJet3:
 
     @property
     def components(self) -> tuple[PolyTable, PolyTable, PolyTable]:
-        return tuple(dict(c) for c in self._comps)  # type: ignore[return-value]
+        return tuple({m: Fraction(x, den) for m, x in num.items()}  # type: ignore[return-value]
+                     for num, den in self._comps)
 
     def coefficient(self, component: int, mono: Mono) -> Fraction:
         """Coefficient of x^i y^j z^k in component 1, 2 or 3."""
         if component not in (1, 2, 3):
             raise DomainError("component index must be 1, 2 or 3")
-        return self._comps[component - 1].get(mono, Fraction(0))
+        num, den = self._comps[component - 1]
+        return Fraction(num.get(mono, 0), den)
 
     def constant_term(self) -> tuple[Fraction, Fraction, Fraction]:
-        return tuple(c.get(_ZERO, Fraction(0)) for c in self._comps)  # type: ignore[return-value]
+        return tuple(Fraction(num.get(_ZERO, 0), den)  # type: ignore[return-value]
+                     for num, den in self._comps)
 
     def linear_part(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(
-            tuple(comp.get(_AXES[j], Fraction(0)) for j in range(3))
-            for comp in self._comps)
+        return tuple(tuple(Fraction(num.get(axis, 0), den) for axis in _AXES)
+                     for num, den in self._comps)
 
     def linear_det(self) -> Fraction:
         m = self.linear_part()
@@ -195,28 +249,33 @@ class PolyJet3:
                 - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
                 + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
+    def _fixes_origin(self) -> bool:
+        return all(_ZERO not in num for num, _ in self._comps)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PolyJet3):
             return NotImplemented
         return self._degree == other._degree and self._comps == other._comps
 
     def __hash__(self) -> int:
-        return hash((self._degree,
-                     tuple(tuple(sorted(c.items())) for c in self._comps)))
+        return hash((self._degree, tuple((frozenset(num.items()), den)
+                                         for num, den in self._comps)))
 
     def __repr__(self) -> str:
-        return f"PolyJet3(degree={self._degree}, comps={self._comps!r})"
+        return f"PolyJet3(degree={self._degree}, comps={self.components!r})"
 
     # -- operations ---------------------------------------------------------
 
     def compose(self, inner: "PolyJet3", degree: int | None = None) -> "PolyJet3":
         """self after inner, truncated at total degree ``degree``."""
-        if any(c != 0 for c in inner.constant_term()) or \
-           any(c != 0 for c in self.constant_term()):
+        if not (self._fixes_origin() and inner._fixes_origin()):
             raise DomainError("jet composition requires both jets to fix the origin")
         deg = degree if degree is not None else min(self._degree, inner._degree)
-        comps = evaluate_polys(self._comps, *_on_polys(inner._comps, deg))
-        return PolyJet3(list(comps), deg)
+        if deg < 1:
+            raise DomainError("jet degree must be at least 1")
+        # monomials above the degree only reach degrees above it
+        outer = (_truncated(comp, deg) for comp in self._comps)
+        return _jet(evaluate_polys(outer, *_on_polys(inner._comps, deg)), deg)
 
     def substitute(self, sx: TruncSeries, sy: TruncSeries,
                    sz: TruncSeries) -> tuple[TruncSeries, TruncSeries, TruncSeries]:
@@ -225,14 +284,18 @@ class PolyJet3:
         return x, y, z
 
     def inverse(self, degree: int | None = None) -> "PolyJet3":
-        """Compositional inverse up to the jet degree (Newton iteration).
+        """Compositional inverse up to the jet degree.
 
-        Requires an invertible linear part and zero constant term.
+        A fixed-point iteration: starting from the inverse of the linear
+        part L, the pass for total degree k replaces psi by
+        psi - L^-1(self(psi) - id), computed through degree k, which makes
+        psi exact through degree k. Requires an invertible linear part and
+        zero constant term.
         """
         det = self.linear_det()
         if det == 0:
             raise DomainError("jet has singular linear part; no inverse")
-        if any(c != 0 for c in self.constant_term()):
+        if not self._fixes_origin():
             raise DomainError("jet inverse requires a jet fixing the origin")
         deg = degree if degree is not None else self._degree
         m = self.linear_part()
@@ -247,19 +310,14 @@ class PolyJet3:
              m[0][1] * m[2][0] - m[0][0] * m[2][1],
              m[0][0] * m[1][1] - m[0][1] * m[1][0]],
         ]
-        linv = PolyJet3.from_linear(
-            [[v / det for v in row] for row in adj], deg)
-        psi = linv
-        # Each pass corrects one more total degree.
-        for _ in range(2, deg + 1):
-            delta = self.compose(psi, deg).components
-            for table, axis in zip(delta, _AXES):
-                subtract_scaled(table, Fraction(1), {axis: Fraction(1)})
-            comps = psi.components
-            corr = evaluate_polys(linv._comps, *_on_polys(delta, deg))
-            for table, c in zip(comps, corr):
-                subtract_scaled(table, Fraction(1), c)
-            psi = PolyJet3(comps, deg)
+        psi = PolyJet3.from_linear([[v / det for v in row] for row in adj], deg)
+        linv = psi._comps
+        for k in range(2, deg + 1):
+            delta = [_poly_scaled_sum([(1, comp), (-1, ({axis: 1}, 1))], 1)
+                     for comp, axis in zip(self.compose(psi, k)._comps, _AXES)]
+            corr = evaluate_polys(linv, *_on_polys(delta, k))
+            psi = _jet([_poly_scaled_sum([(1, p), (-1, c)], 1)
+                        for p, c in zip(psi._comps, corr)], k)
         return psi
 
 
@@ -295,6 +353,6 @@ def poly_to_obj(poly: Mapping[Mono, Fraction]) -> dict:
 
 def jet_to_obj(jet: PolyJet3) -> dict:
     out: dict = {"degree": jet.degree}
-    for name, comp in zip(("phi1", "phi2", "phi3"), jet._comps):
+    for name, comp in zip(("phi1", "phi2", "phi3"), jet.components):
         out[name] = poly_to_obj(comp)
     return out

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .errors import DomainError, InsufficientTruncation
 
@@ -455,8 +455,28 @@ class TruncSeries:
         return g
 
 
+def linear_combination(terms: Iterable[tuple[int, TruncSeries]], den: int,
+                       trunc: int) -> TruncSeries:
+    """(sum of c * s over ``terms``) / ``den``, for integers c and den > 0,
+    known through ``trunc`` and through every term's truncation.
+
+    The numerators are summed over one common denominator, so the content is
+    reduced once for the whole sum.
+    """
+    terms = list(terms)
+    common = lcm(*(s._den for _, s in terms))
+    trunc = min([trunc] + [s._trunc for _, s in terms])
+    acc = [0] * (trunc + 1)
+    for c, s in terms:
+        c *= common // s._den
+        num = s._num[:trunc + 1]
+        acc[:len(num)] = [x + c * y for x, y in zip(acc, num)]
+    return _series(acc, common * den, trunc)
+
+
 _RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-_DEGREE_KEY = re.compile(r"[0-9]+")
+#: Canonical decimal only: a leading zero would give one degree two spellings.
+_DEGREE_KEY = re.compile(r"0|[1-9][0-9]*")
 
 
 def parse_rational(text: object) -> Fraction:

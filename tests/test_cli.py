@@ -250,6 +250,30 @@ def test_malformed_jet_key_is_a_domain_error(capsys, tmp_path, key):
                                   "--point", str(point)])
 
 
+@pytest.mark.parametrize("canonical, key", [("2", "02"), ("2", "002"),
+                                            ("3", "03")])
+def test_degree_key_with_leading_zero_is_a_domain_error(capsys, tmp_path,
+                                                        canonical, key):
+    # two spellings of one degree must not silently overwrite each other
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"trunc": 8, "x": {canonical: "1", key: "5"},
+                                "y": {"3": "1"}, "z": {}}))
+    _assert_domain_error(capsys, ["--bound", "6", "semigroup",
+                                  "--curve", str(path)], field=key)
+
+
+@pytest.mark.parametrize("key", ["01,0,0", "1,00,0", "1,0,00"])
+def test_jet_key_with_leading_zero_is_a_domain_error(capsys, tmp_path, key):
+    diffeo = tmp_path / "phi.json"
+    diffeo.write_text(json.dumps({"degree": 2, "phi1": {"1,0,0": "1", key: "2"},
+                                  "phi2": {"0,1,0": "1"}, "phi3": {"0,0,1": "1"}}))
+    point = tmp_path / "p.json"
+    point.write_text(dumps(point_to_obj(
+        prolong_curve(monomial_curve(1, None, None), 1).point)))
+    _assert_domain_error(capsys, ["apply", "--diffeo", str(diffeo),
+                                  "--point", str(point)], field=key)
+
+
 @pytest.mark.parametrize("chart, coords", [
     ("0", "00000"), ([0], "00000"), ("0", ["0"] * 5), ({"0": 0}, ["0"] * 5)])
 def test_point_arrays_must_be_arrays(capsys, tmp_path, chart, coords):

@@ -3,11 +3,14 @@
 Each case runs ``cli.main`` on input files in ``tests/golden/`` and compares
 stdout with ``tests/golden/<case>.out`` byte for byte. The expected files
 were recorded before the polynomial-substitution routine was shared between
-series and jets; a change that is meant to alter an output re-records them
-with ``PYTHONPATH=src python tests/test_golden.py``.
+series and jets. ``PYTHONPATH=src python tests/test_golden.py [case ...]``
+records the named cases, and with no names only the cases whose ``.out`` file
+is missing; it never overwrites the file of a case it was not given, so a
+change that is meant to alter an output names exactly the cases it re-records.
 
 Inputs: ``cusp`` is (t^2, t^3, 0); ``c16``/``c24`` are (t^3+t^4, t^5, t^7)
-and ``m16``/``m24``/``m48`` are (t^3, t^5, t^7) at truncation 16/24/48;
+at truncation 16/24, ``cm16`` is (t^3-t^4, t^5, t^7) at truncation 16, and
+``m16``/``m24``/``m48`` are (t^3, t^5, t^7) at truncation 16/24/48;
 ``p48``/``q24`` are (t^3, t^5+t^7, 0), ``n24`` is (t^3, t^5, 0), ``s24`` is
 (t^3, t^4, t^5); ``moved40`` is a non-monomial curve at truncation 40;
 ``phi`` is (2x, y+x^2, z+3xy) and ``p3`` the level-3 point of (t, t^2, 0).
@@ -17,6 +20,7 @@ import contextlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -41,6 +45,8 @@ CASES = {
     # the trace replayed is the one inside the recorded reduce output
     "replay": ["replay", "--trace", "reduce.trace", "--curve", "c24.json"],
     "equiv": ["equiv", "--left", "c16.json", "--right", "m16.json"],
+    # both traces move the curve, so the certificate inverts a non-identity jet
+    "equiv-both-moved": ["equiv", "--left", "c16.json", "--right", "cm16.json"],
     "equiv-planar": ["equiv", "--left", "q24.json", "--right", "n24.json"],
     "equiv-separated": ["equiv", "--left", "m24.json", "--right", "s24.json"],
     # the only case that runs fiber_action (the scaling images)
@@ -72,12 +78,36 @@ def test_golden_output(case, tmp_path):
     assert out.encode("utf-8") == (GOLDEN / f"{case}.out").read_bytes()
 
 
-if __name__ == "__main__":
-    import tempfile
+def _record(names: list[str]) -> None:
+    unknown = [name for name in names if name not in CASES]
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
+    todo = names or [name for name in CASES
+                     if not (GOLDEN / f"{name}.out").exists()]
     with tempfile.TemporaryDirectory() as tmp:
         # reduce first: the replay case reads its trace
-        for name in sorted(CASES, key=lambda c: c != "reduce"):
+        for name in sorted(todo, key=lambda c: c != "reduce"):
             code, text = _run(name, Path(tmp))
             if code != 0:
                 sys.exit(f"{name}: exit {code}")
             (GOLDEN / f"{name}.out").write_bytes(text.encode("utf-8"))
+            print(f"recorded {name}")
+
+
+def test_recorder_overwrites_only_named_cases(tmp_path, monkeypatch):
+    expected = {case: (GOLDEN / f"{case}.out").read_bytes()
+                for case in ("rvt", "prolong")}
+    (tmp_path / "cusp.json").write_bytes((GOLDEN / "cusp.json").read_bytes())
+    (tmp_path / "rvt.out").write_text("stale\n")
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "GOLDEN", tmp_path)
+    monkeypatch.setattr(module, "CASES", {c: CASES[c] for c in expected})
+    _record([])  # records the missing case only
+    assert (tmp_path / "rvt.out").read_text() == "stale\n"
+    assert (tmp_path / "prolong.out").read_bytes() == expected["prolong"]
+    _record(["rvt"])
+    assert (tmp_path / "rvt.out").read_bytes() == expected["rvt"]
+
+
+if __name__ == "__main__":
+    _record(sys.argv[1:])

@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy.polys.domains import QQ
+from sympy.polys.rings import ring
 
 from mtower.curves import monomial_curve
 from mtower.errors import DomainError
-from mtower.jets import PolyJet3, jet_from_obj, jet_to_obj
+from mtower.jets import PolyJet3, jet_from_obj, jet_to_obj, monomials
 from mtower.series import TruncSeries
 
 F = Fraction
@@ -85,6 +87,11 @@ def test_inverse_rejects_singular():
         jet.inverse()
 
 
+def test_compose_rejects_degree_below_one():
+    with pytest.raises(DomainError):
+        shear_y_by_x2().compose(shear_z_by_y2(), 0)
+
+
 def test_jet_json_round_trip():
     jet = PolyJet3([{X: F(2, 3)}, {Y: 1, (2, 0, 0): F(-1, 7)}, {Z: 4}], 5)
     assert jet_from_obj(jet_to_obj(jet)) == jet
@@ -118,3 +125,141 @@ def test_compose_then_substitute_matches_nested_substitution(phi, psi, curve):
     direct = phi.compose(psi).substitute(*curve)
     nested = phi.substitute(*psi.substitute(*curve))
     assert all(a.agrees_with(b, through) for a, b in zip(direct, nested))
+
+
+# -- jets against sympy over QQ ------------------------------------------------
+#
+# Jets are sparse, dense through total degree 3 (so that sympy stays fast),
+# or sparse with coefficients of up to 200 bits. The oracle evaluates each
+# polynomial term by term with sympy's arithmetic in QQ[x, y, z] (or QQ[t]
+# for curves), truncating every product at the total degree (or the series
+# truncation).
+
+QQ_XYZ, SYM_X, SYM_Y, SYM_Z = ring("x,y,z", QQ)
+QQ_T, _ = ring("t", QQ)
+
+
+@st.composite
+def oracle_jets(draw, degree, linear=None):
+    """A jet fixing the origin; ``linear`` (a 3x3 matrix) fixes its linear part."""
+    kind = draw(st.sampled_from(["sparse", "dense", "large"]))
+    size = 2 ** (200 if kind == "large" else 3)
+    coeff = st.builds(F, st.integers(-size, size), st.integers(1, size))
+    monos = monomials(min(degree, 3) if kind == "dense" else degree)
+    if linear is not None:
+        monos = [m for m in monos if sum(m) > 1]
+    comps = []
+    for row in range(3):
+        if kind == "dense" or not monos:
+            table = {m: draw(coeff) for m in monos}
+        else:
+            table = draw(st.dictionaries(st.sampled_from(monos), coeff, max_size=4))
+        if linear is not None:
+            table.update({axis: linear[row][col]
+                          for col, axis in enumerate((X, Y, Z))})
+        comps.append(table)
+    return PolyJet3(comps, degree)
+
+
+invertible_linear = st.lists(
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    min_size=3, max_size=3).filter(
+        lambda m: PolyJet3.from_linear(m, 1).linear_det() != 0)
+
+
+def to_sympy(table, sym_ring):
+    return sym_ring({m: QQ(c.numerator, c.denominator) for m, c in table.items()})
+
+
+def from_sympy(p):
+    return {m: F(int(c.numerator), int(c.denominator)) for m, c in p.items()}
+
+
+def truncated(p, degree):
+    return p.ring({m: c for m, c in p.items() if sum(m) <= degree})
+
+
+def sympy_evaluate(jet, images, degree):
+    """The jet's components at (x, y, z) = ``images``, in ``images``' ring,
+    with every product truncated at total degree ``degree``."""
+    sym_ring = images[0].ring
+    out = []
+    for table in jet.components:
+        total = sym_ring.zero
+        for mono, c in table.items():
+            term = sym_ring.one
+            for image, n in zip(images, mono):
+                for _ in range(n):
+                    term = truncated(term * image, degree)
+            total += QQ(c.numerator, c.denominator) * term
+        out.append(truncated(total, degree))
+    return out
+
+
+@given(st.integers(1, 4).flatmap(oracle_jets),
+       st.integers(1, 4).flatmap(oracle_jets))
+@settings(max_examples=40, deadline=None)
+def test_compose_matches_sympy(phi, psi):
+    degree = min(phi.degree, psi.degree)
+    images = [to_sympy(c, QQ_XYZ) for c in psi.components]
+    expected = sympy_evaluate(phi, images, degree)
+    composed = phi.compose(psi)
+    assert composed.degree == degree
+    assert composed.components == tuple(from_sympy(p) for p in expected)
+
+
+kernel_curves = st.tuples(*[st.dictionaries(
+    st.integers(1, 10), st.builds(F, st.integers(-2 ** 64, 2 ** 64),
+                                  st.integers(1, 2 ** 64)),
+    max_size=4)] * 3)
+
+
+@given(st.integers(1, 4).flatmap(oracle_jets), kernel_curves,
+       st.integers(1, 10))
+@settings(max_examples=40, deadline=None)
+def test_substitute_matches_sympy(phi, tables, trunc):
+    curve = [TruncSeries(t, trunc) for t in tables]
+    images = [to_sympy({(d,): c for d, c in s.terms()}, QQ_T) for s in curve]
+    expected = sympy_evaluate(phi, images, trunc)
+    for got, want in zip(phi.substitute(*curve), expected):
+        assert got.trunc == trunc
+        assert got.coeffs == {d: c for (d,), c in from_sympy(want).items()}
+
+
+@given(st.tuples(st.integers(1, 4), invertible_linear).flatmap(
+    lambda args: oracle_jets(*args)))
+@settings(max_examples=30, deadline=None)
+def test_inverse_matches_sympy(phi):
+    # composing with sympy is the identity through the degree, on both sides
+    inv = phi.inverse()
+    assert inv.degree == phi.degree
+    identity = [SYM_X, SYM_Y, SYM_Z]
+    sym_inv = [to_sympy(c, QQ_XYZ) for c in inv.components]
+    sym_phi = [to_sympy(c, QQ_XYZ) for c in phi.components]
+    assert sympy_evaluate(phi, sym_inv, phi.degree) == identity
+    assert sympy_evaluate(inv, sym_phi, phi.degree) == identity
+
+
+@given(st.integers(1, 4).flatmap(oracle_jets), st.integers(1, 12),
+       st.data())
+@settings(max_examples=40, deadline=None)
+def test_equal_jets_written_differently_are_equal(phi, k, data):
+    # the same coefficients as unreduced fractions, ints where integral, or
+    # as the result of arithmetic are one jet, with one hash
+    def rewrite(c):
+        if c.denominator == 1 and data.draw(st.booleans()):
+            return int(c)
+        return F(c.numerator * k, c.denominator * k)
+    rewritten = PolyJet3([{m: rewrite(c) for m, c in table.items()}
+                          for table in phi.components], phi.degree)
+    composed = phi.compose(PolyJet3.identity(phi.degree))
+    for other in (rewritten, composed, jet_from_obj(jet_to_obj(phi))):
+        assert other == phi
+        assert hash(other) == hash(phi)
+
+
+def test_halves_written_two_ways_are_one_jet():
+    a = PolyJet3([{X: F(2, 4)}, {Y: 1, (2, 0, 0): F(3, 6)}, {Z: 2}], 3)
+    b = PolyJet3([{X: F(1, 2)}, {Y: F(4, 4), (2, 0, 0): F(1, 2)}, {Z: F(4, 2)}], 3)
+    assert a == b and hash(a) == hash(b)
+    assert a.components[1] == {Y: F(1), (2, 0, 0): F(1, 2)}

@@ -131,14 +131,51 @@ def _monomials_within(orders: Sequence[int | None], bound: int) -> list[Mono]:
     return out
 
 
+def _cleared(vec: dict[int, int], wit: dict[Mono, int], den: int,
+             pvec: dict[int, int], pwit: dict[Mono, int],
+             lead: int) -> tuple[dict[int, int], dict[Mono, int], int]:
+    """The row (vec, wit)/den minus the multiple of the pivot row that clears
+    order ``lead``, with the content divided out and the denominator positive.
+
+    Fraction-free (Bareiss): with P the pivot's numerators over any
+    denominator and a/b = P[l]/vec[l] in lowest terms with a > 0, the result
+    is (a*vec - b*P) / (den*a). The pivot's denominator cancels, so this is
+    exactly the rational row that subtracting vec[l]/P[l] times the pivot
+    gives.
+    """
+    common = gcd(pvec[lead], vec[lead])
+    if pvec[lead] < 0:
+        common = -common  # keeps den * a positive
+    a, b = pvec[lead] // common, vec[lead] // common
+    out = []
+    for row, pivot in ((vec, pvec), (wit, pwit)):
+        row = {key: a * x for key, x in row.items()}
+        for key, x in pivot.items():
+            value = row.get(key, 0) - b * x
+            if value:
+                row[key] = value
+            else:
+                del row[key]
+        out.append(row)
+    vec, wit = out
+    den *= a
+    content = gcd(den, *vec.values(), *wit.values())
+    if content != 1:
+        vec = {key: x // content for key, x in vec.items()}
+        wit = {key: x // content for key, x in wit.items()}
+        den //= content
+    return vec, wit, den
+
+
 def semigroup(c: CurveGerm, bound: int = DEFAULT_SEMIGROUP_BOUND) -> Semigroup:
     """Certified initial segment of the curve's value semigroup.
 
     All monomials that can reach the bound are composed with the curve and
-    reduced by leading order with exact rational elimination; the surviving
-    leading orders are the elements, and the tracked combinations are the
-    witnesses. Cancellation between equal leading terms is what lets
-    elements appear that no single monomial realizes.
+    reduced by leading order with exact fraction-free elimination on integer
+    numerators; the surviving leading orders are the elements, and the
+    tracked combinations are the witnesses. Cancellation between equal
+    leading terms is what lets elements appear that no single monomial
+    realizes.
     """
     if not well_parameterized(c):
         raise DomainError("the semigroup is defined for well-parameterized germs")
@@ -152,21 +189,23 @@ def semigroup(c: CurveGerm, bound: int = DEFAULT_SEMIGROUP_BOUND) -> Semigroup:
     monos = _monomials_within(usable, bound)
     columns = evaluate_polys((({m: 1}, 1) for m in monos),
                              *on_series(*c.restrict(bound).components))
-    rows = [(series.coeffs, {mono: Fraction(1)})
-            for mono, series in zip(monos, columns)]
+    # a row (vec, wit, den) is the composed series vec/den and its witness
+    # wit/den, both as integer numerators over one positive denominator
+    rows = []
+    for mono, series in zip(monos, columns):
+        num, den = series.numerators()
+        rows.append((num, {mono: den}, den))
     # eliminate by leading order, keeping one pivot row per order
-    pivots: dict[int, tuple[dict[int, Fraction], PolyTable]] = {}
+    pivots: dict[int, tuple[dict[int, int], dict[Mono, int], int]] = {}
     rows.sort(key=lambda r: min(r[0]) if r[0] else bound + 1)
-    for vec, wit in rows:
+    for vec, wit, den in rows:
         while vec:
             lead = min(vec)
             if lead not in pivots:
-                pivots[lead] = (vec, wit)
+                pivots[lead] = (vec, wit, den)
                 break
-            pvec, pwit = pivots[lead]
-            factor = vec[lead] / pvec[lead]
-            subtract_scaled(vec, factor, pvec)
-            subtract_scaled(wit, factor, pwit)
+            pvec, pwit, _ = pivots[lead]
+            vec, wit, den = _cleared(vec, wit, den, pvec, pwit, lead)
     elements = tuple(sorted(pivots))
     gaps = tuple(n for n in range(1, bound + 1) if n not in pivots)
     conductor = None
@@ -174,7 +213,8 @@ def semigroup(c: CurveGerm, bound: int = DEFAULT_SEMIGROUP_BOUND) -> Semigroup:
     while n >= 1 and n in pivots:
         conductor = n
         n -= 1
-    witnesses = {e: dict(w) for e, (v, w) in pivots.items()}
+    witnesses = {e: {m: Fraction(x, den) for m, x in wit.items()}
+                 for e, (_, wit, den) in pivots.items()}
     return Semigroup(elements, gaps, bound, conductor, witnesses, orders)
 
 
@@ -307,7 +347,9 @@ def planarity(c: CurveGerm,
     """Look for a local defining function vanishing along the curve.
 
     Searches f built from monomials of total degree <= ``degree_bound`` with
-    df(0) != 0 and ord(f o c) > ``order_bound`` by exact linear algebra.
+    df(0) != 0 and ord(f o c) > ``order_bound`` by exact linear algebra; only
+    the degrees that can compose to order <= ``order_bound`` are enumerated,
+    so the work is bounded by the order bound whatever the degree bound.
     A found witness is re-verified by substitution. When no such f exists
     the verdict reports the smallest order bound that already obstructs.
     """
@@ -318,7 +360,11 @@ def planarity(c: CurveGerm,
                           f"(degree bound {degree_bound}, order bound {order_bound})")
     if order_bound > c.trunc:
         return PlanarityVerdict("undetermined", degree_bound, order_bound)
-    monos = sorted(monomials(degree_bound), key=lambda m: (sum(m), m))
+    # a monomial of total degree above order_bound // multiplicity composes
+    # to order > order_bound: its column is zero, so it is never a pivot and
+    # never a witness's linear column
+    degree = min(degree_bound, max(1, order_bound // multiplicity(c)))
+    monos = sorted(monomials(degree), key=lambda m: (sum(m), m))
     low = c.restrict(order_bound)
     columns = evaluate_polys((({m: 1}, 1) for m in monos),
                              *on_series(*low.components))

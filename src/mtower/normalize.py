@@ -241,18 +241,17 @@ def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
             if (idx, d) in leftovers:
                 continue
             try:
-                current_sg.witness_for(d)
+                witness = current_sg.witness_for(d)
             except DomainError:
                 leftovers.add((idx, d))
                 continue
-            pick = (d, idx, coeff)
+            pick = (d, idx, coeff, witness)
             break
         if pick is None:
             break
-        d, idx, coeff = pick
+        d, idx, coeff, witness = pick
         # the semigroup itself is invariant under these moves; only the
         # witnesses can go stale as the curve changes
-        witness = current_sg.witness_for(d)
         composed = poly_on_curve(witness, b.current)
         if composed.order() != d:
             current_sg = semigroup(b.current, bound)

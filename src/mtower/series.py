@@ -239,6 +239,11 @@ class TruncSeries:
         den = self._den
         return [(d, Fraction(x, den)) for d, x in _nonzero(self._num)]
 
+    def numerators(self) -> tuple[dict[int, int], int]:
+        """The nonzero coefficients as integer numerators by degree over one
+        positive denominator, content divided out (a fresh table)."""
+        return dict(_nonzero(self._num)), self._den
+
     # -- equality / display --------------------------------------------
 
     def __eq__(self, other: object) -> bool:

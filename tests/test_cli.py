@@ -149,6 +149,17 @@ def test_planar_verb(run, tmp_path):
     assert json.loads(out)["kind"] == "planar-witness"
 
 
+def test_planar_verb_with_huge_degree_bound(run, tmp_path):
+    # (t^3, t^5, t^7) up to order 40: only degrees <= 40 // 3 can matter
+    path = tmp_path / "c.json"
+    path.write_text(dumps(curve_to_obj(monomial_curve(3, 5, 7, trunc=48))))
+    code, out = run("planar", "--curve", str(path), "--degree-bound", "1000000")
+    assert code == 0
+    code, capped = run("planar", "--curve", str(path), "--degree-bound", "13")
+    assert code == 0
+    assert json.loads(out) == {**json.loads(capped), "degree_bound": 1000000}
+
+
 def test_reduce_and_replay_verbs(run, tmp_path):
     path = tmp_path / "c.json"
     path.write_text(dumps({"trunc": 32, "x": {"3": "1", "4": "1"},

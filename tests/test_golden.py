@@ -12,7 +12,9 @@ Inputs: ``cusp`` is (t^2, t^3, 0); ``c16``/``c24`` are (t^3+t^4, t^5, t^7)
 at truncation 16/24, ``cm16`` is (t^3-t^4, t^5, t^7) at truncation 16, and
 ``m16``/``m24``/``m48`` are (t^3, t^5, t^7) at truncation 16/24/48;
 ``p48``/``q24`` are (t^3, t^5+t^7, 0), ``n24`` is (t^3, t^5, 0), ``s24`` is
-(t^3, t^4, t^5); ``moved40`` is a non-monomial curve at truncation 40;
+(t^3, t^4, t^5); ``moved40`` is a non-monomial curve at truncation 40, and
+``jet32`` is (t^3, t^5, t^7) at truncation 32 moved by a jet with
+coefficients 7/3, -11/5 and 2/7;
 ``phi`` is (2x, y+x^2, z+3xy) and ``p3`` the level-3 point of (t, t^2, 0).
 """
 
@@ -34,6 +36,8 @@ CASES = {
     "prolong": ["prolong", "--curve", "cusp.json", "--level", "1"],
     "semigroup": ["semigroup", "--curve", "c24.json", "--bound", "23"],
     "semigroup-moved": ["semigroup", "--curve", "moved40.json"],
+    # witnesses with 177-bit numerators over dozens of distinct denominators
+    "semigroup-jet32": ["semigroup", "--curve", "jet32.json"],
     "planar-witness": ["planar", "--curve", "p48.json"],
     "planar-obstructed": ["planar", "--curve", "m48.json"],
     "planar-moved": ["planar", "--curve", "moved40.json"],

@@ -1,10 +1,13 @@
 """Multiplicity, semigroups, symbols, planarity."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.ring_series import rs_mul
 from sympy.polys.rings import ring
@@ -13,8 +16,10 @@ from mtower.catalog import NORMAL_FORMS
 from mtower.curves import CurveGerm, monomial_curve
 from mtower.diffeo import sample_diffeo
 from mtower.errors import DomainError, InsufficientTruncation
-from mtower.invariants import (arnold_symbol, multiplicity, planarity,
-                               poly_on_curve, semigroup, well_parameterized)
+from mtower.invariants import (_cleared, _monomials_within, arnold_symbol,
+                               multiplicity, planarity, poly_on_curve,
+                               semigroup, well_parameterized)
+from mtower.jets import PolyJet3
 from mtower.series import TruncSeries
 
 F = Fraction
@@ -145,6 +150,90 @@ def test_semigroup_invariance_under_random_moves():
             assert multiplicity(moved) == multiplicity(c)
 
 
+def test_cleared_row_is_canonical():
+    # (2t + 3t^2, x) - (2 / -4) (-4t + t^2, y) = (7/2 t^2, x + y/2); a row
+    # over -2 has the same rational values, so only its form can show it
+    x, y = (1, 0, 0), (0, 1, 0)
+    assert _cleared({1: 2, 2: 3}, {x: 1}, 1, {1: -4, 2: 1}, {y: 1}, 1) == \
+        ({2: 7}, {x: 2, y: 1}, 2)
+    assert _cleared({1: 6, 3: 3}, {x: 6}, 9, {1: 2, 3: 4}, {y: 8}, 1) == \
+        ({3: -3}, {x: 2, y: -8}, 3)
+
+
+def fraction_semigroup(c, bound):
+    """Elements, gaps, conductor and witnesses by the rational leading-order
+    elimination on ``Fraction`` tables that the integer rows replaced."""
+    usable = tuple(o if o is not None and o <= bound else None
+                   for o in (s.order() for s in c.components))
+    low = c.restrict(bound)
+    rows = [(poly_on_curve({m: 1}, low).coeffs, {m: F(1)})
+            for m in _monomials_within(usable, bound)]
+    rows.sort(key=lambda r: min(r[0]) if r[0] else bound + 1)
+    pivots = {}
+    for vec, wit in rows:
+        while vec:
+            lead = min(vec)
+            if lead not in pivots:
+                pivots[lead] = (vec, wit)
+                break
+            pvec, pwit = pivots[lead]
+            factor = vec[lead] / pvec[lead]
+            for target, source in ((vec, pvec), (wit, pwit)):
+                for key, coeff in source.items():
+                    value = target.get(key, F(0)) - factor * coeff
+                    if value:
+                        target[key] = value
+                    else:
+                        target.pop(key, None)
+    gaps = tuple(n for n in range(1, bound + 1) if n not in pivots)
+    conductor = None
+    n = bound
+    while n >= 1 and n in pivots:
+        conductor = n
+        n -= 1
+    return (tuple(sorted(pivots)), gaps, conductor,
+            {e: w for e, (_, w) in pivots.items()})
+
+
+big = st.integers(-2**200, 2**200)
+big_rational = st.builds(F, big, st.integers(1, 2**200)).filter(bool)
+
+
+@st.composite
+def moved_monomial_curves(draw):
+    """A well-parameterized monomial curve, possibly with a zero component,
+    moved by a degree-3 jet with 200-bit coefficients that keeps the zero
+    component zero."""
+    exponents = draw(st.lists(st.sampled_from((None, *range(2, 10))),
+                              min_size=3, max_size=3).filter(
+        lambda es: gcd(*(e for e in es if e)) == 1))
+    c = monomial_curve(*exponents, trunc=24)
+    higher = [m for m in ((i, j, k) for i in range(4) for j in range(4 - i)
+                          for k in range(4 - i - j)) if sum(m) >= 2]
+    comps = []
+    for axis, e in enumerate(exponents):
+        identity = tuple(int(i == axis) for i in range(3))
+        table = {identity: draw(big_rational)}
+        if e is not None:
+            table.update(draw(st.dictionaries(st.sampled_from(higher),
+                                              big_rational, max_size=3)))
+        comps.append(table)
+    return c.map_jet(PolyJet3(comps, 3))
+
+
+@given(moved_monomial_curves(), st.integers(1, 24))
+@settings(max_examples=40, deadline=None)
+def test_semigroup_matches_fraction_elimination(c, bound):
+    assume(well_parameterized(c))
+    s = semigroup(c, bound)
+    elements, gaps, conductor, witnesses = fraction_semigroup(c, bound)
+    assert s.elements == elements
+    assert s.gaps == gaps
+    assert s.conductor == conductor
+    assert s.witnesses == witnesses
+    assert all(type(q) is F for w in s.witnesses.values() for q in w.values())
+
+
 # -- Arnol'd symbol ---------------------------------------------------------------
 
 def test_symbol_of_monomial_space_curve():
@@ -199,6 +288,22 @@ def test_obstruction_monotone_in_degree():
 def test_undetermined_when_truncation_too_small():
     c = monomial_curve(3, 5, 7, trunc=20)
     assert planarity(c, 7, 40).kind == "undetermined"
+
+
+def test_huge_degree_bound_enumerates_only_reachable_degrees():
+    rng = random.Random(11)
+    moved = sample_diffeo(rng, degree=3).apply_to_curve(
+        monomial_curve(3, 4, 5, trunc=48))
+    for c in (monomial_curve(3, 5, 7, trunc=48),
+              monomial_curve(3, 5, None, trunc=48), moved,
+              monomial_curve(1, None, None, trunc=48)):
+        cap = max(1, 40 // multiplicity(c))
+        verdict = planarity(c, 10**6, 40)
+        assert verdict.degree_bound == 10**6
+        assert replace(verdict, degree_bound=cap) == planarity(c, cap, 40)
+    # a multiplicity above the order bound still enumerates x, y and z
+    c = monomial_curve(41, 43, None, trunc=48)
+    assert replace(planarity(c, 10**6, 40), degree_bound=1) == planarity(c, 1, 40)
 
 
 def sympy_planarity(c, degree, order):

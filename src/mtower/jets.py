@@ -94,7 +94,7 @@ def _poly_mul(a: IntPoly, b: IntPoly, degree: int) -> IntPoly:
     return _canonical(out, a[1] * b[1])
 
 
-def _poly_scaled_sum(terms: Iterable[tuple[int, IntPoly]], den: int) -> IntPoly:
+def poly_scaled_sum(terms: Iterable[tuple[int, IntPoly]], den: int) -> IntPoly:
     """(sum of c * poly over ``terms``) / ``den``, integer c and den > 0."""
     terms = list(terms)
     common = lcm(*(d for _, (_, d) in terms))
@@ -110,8 +110,7 @@ def subtract_scaled(target: dict, factor: Fraction, source: Mapping) -> None:
     """target -= factor * source on ``Fraction`` tables, dropping entries
     that become zero.
 
-    The sparse accumulate of the elimination rows of the invariants and of
-    the removal jets of the reduction.
+    The sparse accumulate of the elimination rows of planarity.
     """
     for key, coeff in source.items():
         value = target.get(key, Fraction(0)) - factor * coeff
@@ -133,17 +132,29 @@ def monomials(degree: int) -> list[Mono]:
 def evaluate_polys(polys: Iterable[IntPoly],
                    images: Sequence[T], one: T, mul: Callable[[T, T], T],
                    scaled_sum: Callable[[Iterator[tuple[int, T]], int], T],
-                   ) -> Iterator[T]:
+                   powers: list[list[T]] | None = None) -> Iterator[T]:
     """Evaluate each polynomial at (x, y, z) = ``images``, one result per polynomial.
 
     The polynomials are in integer form (:func:`integer_poly`). ``one`` is the
     images' unit, ``mul`` their truncated product and ``scaled_sum(terms,
     den)`` adds up the (integer numerator, term) pairs and divides by the
     polynomial's denominator once. Every power of an axis is computed once
-    per call and shared by all the polynomials; the polynomials are read and
+    and shared by all the polynomials; the polynomials are read and
     evaluated lazily, one at a time.
+
+    The powers last for this call, or as long as the caller keeps
+    ``powers``: a table of one list per axis (empty at first) that holds the
+    powers of that axis's image between calls. A list is restarted whenever
+    its axis's image is not the same object as before, so a loop that
+    replaces one image per call keeps the powers of the others. One table
+    serves one ``mul`` (one truncation or degree).
     """
-    powers = [[one, image] for image in images]
+    if powers is None:
+        powers = [[one, image] for image in images]
+    else:
+        for cached, image in zip(powers, images):
+            if len(cached) < 2 or cached[1] is not image:
+                cached[:] = [one, image]
 
     def power(axis: int, n: int) -> T:
         cached = powers[axis]
@@ -171,15 +182,16 @@ def on_series(sx: TruncSeries, sy: TruncSeries, sz: TruncSeries) -> tuple:
             lambda terms, den: linear_combination(terms, den, trunc))
 
 
-def _on_polys(comps: Sequence[IntPoly], degree: int) -> tuple:
+def on_polys(comps: Sequence[IntPoly], degree: int) -> tuple:
     """Arguments of :func:`evaluate_polys` for substituting three polynomials,
     truncated at total degree ``degree``."""
     return (tuple(_truncated(comp, degree) for comp in comps), ({_ZERO: 1}, 1),
-            lambda a, b: _poly_mul(a, b, degree), _poly_scaled_sum)
+            lambda a, b: _poly_mul(a, b, degree), poly_scaled_sum)
 
 
-def _jet(comps: Sequence[IntPoly], degree: int) -> "PolyJet3":
-    """The jet with canonical components ``comps``, none above ``degree``."""
+def jet_from_polys(comps: Sequence[IntPoly], degree: int) -> "PolyJet3":
+    """The jet with canonical integer components ``comps``, none above
+    ``degree``; they are shared, not copied or checked."""
     jet = object.__new__(PolyJet3)
     jet._comps, jet._degree = tuple(comps), degree
     return jet
@@ -222,6 +234,12 @@ class PolyJet3:
     @property
     def degree(self) -> int:
         return self._degree
+
+    @property
+    def polys(self) -> tuple[IntPoly, IntPoly, IntPoly]:
+        """The components in integer form (:func:`integer_poly`), shared:
+        callers must not modify them."""
+        return self._comps  # type: ignore[return-value]
 
     @property
     def components(self) -> tuple[PolyTable, PolyTable, PolyTable]:
@@ -275,7 +293,8 @@ class PolyJet3:
             raise DomainError("jet degree must be at least 1")
         # monomials above the degree only reach degrees above it
         outer = (_truncated(comp, deg) for comp in self._comps)
-        return _jet(evaluate_polys(outer, *_on_polys(inner._comps, deg)), deg)
+        return jet_from_polys(
+            evaluate_polys(outer, *on_polys(inner._comps, deg)), deg)
 
     def substitute(self, sx: TruncSeries, sy: TruncSeries,
                    sz: TruncSeries) -> tuple[TruncSeries, TruncSeries, TruncSeries]:
@@ -313,11 +332,11 @@ class PolyJet3:
         psi = PolyJet3.from_linear([[v / det for v in row] for row in adj], deg)
         linv = psi._comps
         for k in range(2, deg + 1):
-            delta = [_poly_scaled_sum([(1, comp), (-1, ({axis: 1}, 1))], 1)
+            delta = [poly_scaled_sum([(1, comp), (-1, ({axis: 1}, 1))], 1)
                      for comp, axis in zip(self.compose(psi, k)._comps, _AXES)]
-            corr = evaluate_polys(linv, *_on_polys(delta, k))
-            psi = _jet([_poly_scaled_sum([(1, p), (-1, c)], 1)
-                        for p, c in zip(psi._comps, corr)], k)
+            corr = evaluate_polys(linv, *on_polys(delta, k))
+            psi = jet_from_polys([poly_scaled_sum([(1, p), (-1, c)], 1)
+                                  for p, c in zip(psi._comps, corr)], k)
         return psi
 
 

@@ -17,9 +17,10 @@ from .curves import CurveGerm
 from .diffeo import DiffeoJet
 from .errors import DomainError, MTError
 from .invariants import (DEFAULT_PLANARITY_ORDER, DEFAULT_SEMIGROUP_BOUND,
-                         Semigroup, multiplicity, planarity, poly_on_curve,
-                         semigroup, well_parameterized)
-from .jets import Mono, PolyJet3, subtract_scaled
+                         Semigroup, multiplicity, planarity, semigroup,
+                         well_parameterized)
+from .jets import (IntPoly, PolyJet3, evaluate_polys, integer_poly,
+                   jet_from_polys, on_polys, on_series, poly_scaled_sum)
 from .series import TruncSeries
 from .tower import rvt_code, word_str
 
@@ -70,6 +71,73 @@ def apply_step(c: CurveGerm, step: Step) -> CurveGerm:
     raise DomainError(f"unknown reduction step {step!r}")
 
 
+# -- elementary steps ---------------------------------------------------------
+
+_IDENTITY = PolyJet3.identity(1).polys
+
+
+def _elementary(step: Step) -> tuple[int, IntPoly] | None:
+    """(i, p) when ``step`` is a jet step that is the identity in every
+    component but the i-th, whose polynomial (in integer form) is p."""
+    if isinstance(step, JetStep):
+        polys = step.phi.jet.polys
+        moved = [i for i in range(3) if polys[i] != _IDENTITY[i]] or [0]
+        if len(moved) == 1:
+            return moved[0], polys[moved[0]]
+    return None
+
+
+class _ElementarySteps:
+    """Elementary jet steps, applied one after another to a curve or a jet.
+
+    A jet step that is the identity in two components and x_i - s*w in the
+    third replaces component i alone, by c_i - s*w(c); every component is
+    restricted to the common truncation, as ``CurveGerm.map_jet`` does. One
+    table of axis powers (see :func:`jets.evaluate_polys`) serves the whole
+    loop, so a step keeps the powers of the two components it leaves in
+    place. Every other step goes through :func:`apply_step` or
+    ``DiffeoJet.compose`` unchanged.
+    """
+
+    def __init__(self):
+        self.powers: list[list] = [[], [], []]
+
+    def value(self, c: CurveGerm, poly: IntPoly) -> TruncSeries:
+        """poly(c), known through the truncation of the curve."""
+        return next(evaluate_polys([poly], *on_series(*c.components),
+                                   powers=self.powers))
+
+    @staticmethod
+    def _replaced(c: CurveGerm, i: int, value: TruncSeries) -> CurveGerm:
+        comps = [s.restrict(c.trunc) for s in c.components]
+        comps[i] = value
+        return CurveGerm(*comps)
+
+    def remove(self, c: CurveGerm, i: int, scale: Fraction,
+               value: TruncSeries) -> CurveGerm:
+        """The step x_i -> x_i - scale*w applied to ``c``, given value = w(c)."""
+        return self._replaced(c, i, c.components[i] - value.scale(scale))
+
+    def apply(self, c: CurveGerm, step: Step) -> CurveGerm:
+        """``apply_step(c, step)``."""
+        moved = _elementary(step)
+        if moved is None:
+            return apply_step(c, step)
+        i, poly = moved
+        return self._replaced(c, i, self.value(c, poly))
+
+    def compose(self, step: JetStep, phi: DiffeoJet, degree: int) -> DiffeoJet:
+        """``step.phi.compose(phi, degree)``."""
+        moved = _elementary(step)
+        if moved is None:
+            return step.phi.compose(phi, degree)
+        i, poly = moved
+        args = on_polys(phi.jet.polys, degree)
+        polys = list(args[0])
+        polys[i] = next(evaluate_polys([poly], *args, powers=self.powers))
+        return DiffeoJet(jet_from_polys(polys, degree))
+
+
 @dataclass(frozen=True)
 class TraceEntry:
     step: Step
@@ -91,11 +159,12 @@ class ReductionTrace:
     def replay(self, c: CurveGerm) -> CurveGerm:
         """Re-execute the steps on ``c``; the snapshots must be reproduced
         exactly up to the available truncation."""
+        steps = _ElementarySteps()
         cur = c
         for entry in self.entries:
             if not cur.agrees_with(entry.before):
                 raise DomainError("trace replay diverged from its before-snapshot")
-            cur = apply_step(cur, entry.step)
+            cur = steps.apply(cur, entry.step)
             if not cur.agrees_with(entry.after):
                 raise DomainError("trace replay diverged from its after-snapshot")
         return cur
@@ -109,9 +178,11 @@ class _Builder:
         self.current = start
         self.entries: list[TraceEntry] = []
 
-    def push(self, step: Step) -> CurveGerm:
+    def push(self, step: Step, after: CurveGerm | None = None) -> CurveGerm:
+        """Record ``step``; ``after`` is its result when the caller has it."""
         before = self.current
-        after = apply_step(before, step)
+        if after is None:
+            after = apply_step(before, step)
         self.entries.append(TraceEntry(step, before, after))
         self.current = after
         return after
@@ -204,12 +275,15 @@ def zariski_step(c: CurveGerm) -> StepResult:
     return StepResult(mono.curve, trace)
 
 
-def _removal_jet(component: int, witness: dict[Mono, Fraction],
-                 scale: Fraction) -> DiffeoJet:
-    degree = max(max(sum(m) for m in witness), 1)
-    comps = PolyJet3.identity(degree).components
-    subtract_scaled(comps[component], scale, witness)
-    return DiffeoJet(PolyJet3(comps, degree))
+def _removal_jet(component: int, witness: IntPoly, scale: Fraction) -> DiffeoJet:
+    """The elementary jet x_i -> x_i - scale*witness for i = ``component``,
+    the identity in the other two components."""
+    polys = list(_IDENTITY)
+    q = scale.denominator
+    polys[component] = poly_scaled_sum(
+        [(q, polys[component]), (-scale.numerator, witness)], q)
+    degree = max(max(sum(m) for m in witness[0]), 1)
+    return DiffeoJet(jet_from_polys(polys, degree))
 
 
 def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
@@ -223,21 +297,16 @@ def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
     """
     bound = s.bound
     b = _Builder(c)
+    steps = _ElementarySteps()
     leftovers: set[tuple[int, int]] = set()
     current_sg = s
     while True:
         cur = b.current
         pick = None
-        candidates = []
-        for idx, comp in enumerate(cur.components):
-            if comp.is_zero():
-                continue
-            lead = comp.order()
-            for d, coeff in comp.terms():
-                if d > lead:
-                    candidates.append((d, idx, coeff))
-        candidates.sort()
-        for d, idx, coeff in candidates:
+        # the exponents past each component's leading one, lowest first
+        candidates = sorted((d, idx) for idx, comp in enumerate(cur.components)
+                            for d in sorted(comp.numerators()[0])[1:])
+        for d, idx in candidates:
             if (idx, d) in leftovers:
                 continue
             try:
@@ -245,28 +314,29 @@ def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
             except DomainError:
                 leftovers.add((idx, d))
                 continue
-            pick = (d, idx, coeff, witness)
+            pick = (d, idx, witness)
             break
         if pick is None:
             break
-        d, idx, coeff, witness = pick
+        d, idx, witness = pick
         # the semigroup itself is invariant under these moves; only the
         # witnesses can go stale as the curve changes
-        composed = poly_on_curve(witness, b.current)
+        poly = integer_poly(witness)
+        composed = steps.value(cur, poly)
         if composed.order() != d:
-            current_sg = semigroup(b.current, bound)
-            witness = current_sg.witness_for(d)
-            composed = poly_on_curve(witness, b.current)
+            current_sg = semigroup(cur, bound)
+            poly = integer_poly(current_sg.witness_for(d))
+            composed = steps.value(cur, poly)
             if composed.order() != d:
                 raise AssertionError(f"fresh witness for {d} has the wrong order")
-        scale = coeff / composed.coefficient(d)
+        scale = cur.components[idx].coefficient(d) / composed.coefficient(d)
         while True:
             try:
-                jet = _removal_jet(idx, witness, scale)
+                jet = _removal_jet(idx, poly, scale)
                 break
             except DomainError:
                 scale = scale / 2  # singular linear part; remove in halves
-        b.push(JetStep(jet))
+        b.push(JetStep(jet), steps.remove(cur, idx, scale, composed))
     notes = tuple(f"left t^{d} in component {idx + 1} (no certificate up to "
                   f"bound {bound})" for idx, d in sorted(leftovers))
     return StepResult(b.current, b.trace(), notes)
@@ -424,13 +494,14 @@ class EquivalenceResult:
 
 def _compose_trace(trace: ReductionTrace, degree: int,
                    trunc: int) -> tuple[DiffeoJet, TruncSeries]:
+    steps = _ElementarySteps()
     phi = DiffeoJet.identity(degree)
     tau = TruncSeries.identity(trunc)
     for step in trace.steps:
         if isinstance(step, ReparamStep):
             tau = tau.compose(step.tau)
         elif isinstance(step, JetStep):
-            phi = step.phi.compose(phi, degree)
+            phi = steps.compose(step, phi, degree)
         elif isinstance(step, ScaleStep):
             a, b, c = step.factors
             phi = DiffeoJet.diagonal(a, b, c, degree).compose(phi, degree)

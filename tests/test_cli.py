@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from mtower.normalize import apply_certificate, equivalence_search, reduce_catal
 from mtower.tower import prolong_curve
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -211,6 +213,30 @@ def test_domain_error_exit_code(run, tmp_path):
     code, out = run("rvt", "--curve", str(path), "--level", "1")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "domain-error"
+
+
+@pytest.mark.parametrize("tamper", ["after-snapshot", "witness"])
+def test_replay_rejects_a_tampered_elementary_step(capsys, tmp_path, tamper):
+    trace = json.loads((GOLDEN / "reduce-alternating.out").read_text())["trace"]
+    # a removal mid-trace: z -> z - s*(z^2 - x^2 y), the identity in x and y
+    step = trace["steps"][17]
+    assert step["phi"]["phi1"] == {"1,0,0": "1"}
+    assert step["phi"]["phi2"] == {"0,1,0": "1"}
+    if tamper == "after-snapshot":
+        assert step["after"]["z"]["9"] == "27/32"
+        step["after"]["z"]["9"] = "29/32"
+    else:
+        assert step["phi"]["phi3"]["2,1,0"] == "1924483/294912"
+        step["phi"]["phi3"]["2,1,0"] = "1924481/294912"
+    path = tmp_path / "trace.json"
+    path.write_text(dumps(trace))
+    assert main(["replay", "--trace", str(path),
+                 "--curve", str(GOLDEN / "alt24.json")]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {"error": {
+        "code": "domain-error",
+        "message": "trace replay diverged from its after-snapshot"}}
+    assert "Traceback" not in captured.err
 
 
 def _assert_domain_error(capsys, argv, field=None):

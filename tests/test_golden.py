@@ -12,9 +12,10 @@ Inputs: ``cusp`` is (t^2, t^3, 0); ``c16``/``c24`` are (t^3+t^4, t^5, t^7)
 at truncation 16/24, ``cm16`` is (t^3-t^4, t^5, t^7) at truncation 16, and
 ``m16``/``m24``/``m48`` are (t^3, t^5, t^7) at truncation 16/24/48;
 ``p48``/``q24`` are (t^3, t^5+t^7, 0), ``n24`` is (t^3, t^5, 0), ``s24`` is
-(t^3, t^4, t^5); ``moved40`` is a non-monomial curve at truncation 40, and
-``jet32`` is (t^3, t^5, t^7) at truncation 32 moved by a jet with
-coefficients 7/3, -11/5 and 2/7;
+(t^3, t^4, t^5); ``alt24`` is (t^4+t^5, t^6-t^7, t^7+t^8) at truncation 24;
+``moved40`` is a non-monomial curve at truncation 40, and ``jet32`` is
+(t^3, t^5, t^7) at truncation 32 moved by a jet with coefficients 7/3, -11/5
+and 2/7;
 ``phi`` is (2x, y+x^2, z+3xy) and ``p3`` the level-3 point of (t, t^2, 0).
 """
 
@@ -46,9 +47,15 @@ CASES = {
     "census": ["census", "--level", "4"],
     "census-table": ["--table", "census", "--level", "4"],
     "reduce": ["reduce", "--curve", "c24.json"],
-    # the trace replayed is the one inside the recorded reduce output
+    # a trace argument <case>.trace is the trace inside the recorded <case>.out
     "replay": ["replay", "--trace", "reduce.trace", "--curve", "c24.json"],
+    # 34 steps whose removals alternate between y and z, witnesses in x, y, z
+    "reduce-alternating": ["reduce", "--curve", "alt24.json"],
+    "replay-alternating": ["replay", "--trace", "reduce-alternating.trace",
+                           "--curve", "alt24.json"],
     "equiv": ["equiv", "--left", "c16.json", "--right", "m16.json"],
+    # the certificate composes every removal step of the reduction
+    "equiv-24": ["equiv", "--left", "c24.json", "--right", "m24.json"],
     # both traces move the curve, so the certificate inverts a non-identity jet
     "equiv-both-moved": ["equiv", "--left", "c16.json", "--right", "cm16.json"],
     "equiv-planar": ["equiv", "--left", "q24.json", "--right", "n24.json"],
@@ -62,7 +69,8 @@ def _run(case: str, workdir: Path) -> tuple[int, str]:
     argv = []
     for arg in CASES[case]:
         if arg.endswith(".trace"):
-            trace = json.loads((GOLDEN / "reduce.out").read_text())["trace"]
+            recorded = GOLDEN / f"{arg.removesuffix('.trace')}.out"
+            trace = json.loads(recorded.read_text())["trace"]
             path = workdir / arg
             path.write_text(json.dumps(trace))
             arg = str(path)
@@ -89,8 +97,8 @@ def _record(names: list[str]) -> None:
     todo = names or [name for name in CASES
                      if not (GOLDEN / f"{name}.out").exists()]
     with tempfile.TemporaryDirectory() as tmp:
-        # reduce first: the replay case reads its trace
-        for name in sorted(todo, key=lambda c: c != "reduce"):
+        # reduce cases first: the replay cases read their traces
+        for name in sorted(todo, key=lambda c: not c.startswith("reduce")):
             code, text = _run(name, Path(tmp))
             if code != 0:
                 sys.exit(f"{name}: exit {code}")

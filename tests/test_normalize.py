@@ -3,13 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mtower.curves import CurveGerm, monomial_curve
+from mtower.diffeo import DiffeoJet
 from mtower.errors import DomainError
 from mtower.invariants import multiplicity, semigroup
-from mtower.normalize import (apply_certificate, equivalence_search,
-                              kill_semigroup_terms, monomialize_first,
-                              reduce_catalog, scale_normalize, zariski_step)
+from mtower.jets import integer_poly
+from mtower.normalize import (JetStep, ReductionTrace, ReparamStep, ScaleStep,
+                              TraceEntry, _ElementarySteps, _compose_trace,
+                              _removal_jet, apply_certificate, apply_step,
+                              equivalence_search, kill_semigroup_terms,
+                              monomialize_first, reduce_catalog,
+                              scale_normalize, zariski_step)
 from mtower.series import TruncSeries
 
 F = Fraction
@@ -268,3 +274,93 @@ def test_equivalence_after_random_moves():
     assert result.kind == "equivalent"
     got = apply_certificate(result.certificate, moved)
     assert got.agrees_with(c, result.certificate.verified_through)
+
+
+# -- elementary steps against the general path ---------------------------------
+
+big = st.builds(F, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200))
+nonzero = st.builds(F, st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda q: st.sampled_from([q, -q]))
+
+
+@st.composite
+def germ_curves(draw):
+    """Three components of their own truncations, up to 48, so that the
+    first step restricts them to the common one."""
+    comps = []
+    for _ in range(3):
+        trunc = draw(st.integers(1, 48))
+        comps.append(TruncSeries(
+            draw(st.dictionaries(st.integers(1, trunc), big, max_size=6)), trunc))
+    return CurveGerm(*comps)
+
+
+# 1-4 monomials of total degree 1-3 in x, y and z
+witnesses = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).filter(
+        lambda m: 1 <= sum(m) <= 3),
+    st.builds(F, st.integers(-2 ** 64, 2 ** 64).filter(bool), st.integers(1, 2 ** 64)),
+    min_size=1, max_size=4)
+removals = st.tuples(st.integers(0, 2), witnesses, nonzero)
+
+
+def removal_step(component, witness, scale):
+    try:
+        return JetStep(_removal_jet(component, integer_poly(witness), scale))
+    except DomainError:  # singular linear part
+        return None
+
+
+@given(germ_curves(), st.lists(st.tuples(removals, st.booleans()),
+                               min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_elementary_removals_match_apply_step(c, sequence):
+    # one power table for the whole sequence; each step substitutes into one
+    # component, as in kill_semigroup_terms (remove) and in replay (apply)
+    steps = _ElementarySteps()
+    cur = c
+    for (component, witness, scale), as_removal in sequence:
+        step = removal_step(component, witness, scale)
+        if step is None:
+            continue
+        expected = apply_step(cur, step)
+        if as_removal:
+            value = steps.value(cur, integer_poly(witness))
+            cur = steps.remove(cur, component, scale, value)
+        else:
+            cur = steps.apply(cur, step)
+        assert cur == expected  # coefficients and truncations
+
+
+reparams = st.builds(
+    lambda a, b, trunc: ReparamStep(TruncSeries({1: a, 2: b}, trunc)),
+    nonzero, nonzero, st.integers(1, 48))
+scalings = st.builds(lambda a, b, c: ScaleStep((a, b, c)), nonzero, nonzero, nonzero)
+# moves two components at once, so it takes the general path
+shears = st.builds(
+    lambda a, b: JetStep(DiffeoJet.from_components(
+        [{(1, 0, 0): 1, (0, 2, 0): a}, {(0, 1, 0): 1, (2, 0, 0): b},
+         {(0, 0, 1): 1}], 2)), nonzero, nonzero)
+trace_steps = st.one_of(removals.map(lambda r: removal_step(*r)), reparams,
+                        scalings, shears).filter(lambda step: step is not None)
+
+
+@given(st.lists(trace_steps, min_size=1, max_size=6), st.integers(1, 8),
+       st.integers(1, 48))
+@settings(max_examples=40, deadline=None)
+def test_compose_trace_matches_left_fold(steps, degree, trunc):
+    c = monomial_curve(3, 5, 7, trunc=8)  # _compose_trace reads only the steps
+    trace = ReductionTrace(tuple(TraceEntry(step, c, c) for step in steps))
+    phi, tau = _compose_trace(trace, degree, trunc)
+    want_phi = DiffeoJet.identity(degree)
+    want_tau = TruncSeries.identity(trunc)
+    for step in steps:
+        if isinstance(step, ReparamStep):
+            want_tau = want_tau.compose(step.tau)
+        elif isinstance(step, JetStep):
+            want_phi = step.phi.compose(want_phi, degree)
+        else:
+            want_phi = DiffeoJet.diagonal(*step.factors, degree).compose(
+                want_phi, degree)
+    assert phi == want_phi
+    assert tau == want_tau

@@ -218,6 +218,7 @@ def criterion_12_property_suites() -> str:
     points = [prolong_curve(monomial_curve(2, 3, None), 2).point,
               rvv_point(),
               prolong_curve(monomial_curve(3, 4, 5), 3).point,
+              prolong_curve(monomial_curve(4, 6, 7), 3).point,
               rvvv_points()[1]]
     trials = 0
     while trials < 50:

@@ -11,7 +11,6 @@ these are the raw moves behind the prolonged action of diffeomorphism germs.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
@@ -19,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import DomainError
 from .series import (Rational, TruncSeries, _as_fraction, format_rational,
-                     linear_combination, parse_integer, parse_rational)
+                     linear_combination, parse_integer, parse_key, parse_rational)
 
 Mono = tuple[int, int, int]
 PolyTable = dict[Mono, Fraction]
@@ -28,8 +27,6 @@ IntPoly = tuple[dict[Mono, int], int]
 
 _ZERO = (0, 0, 0)
 _AXES: tuple[Mono, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-_EXPONENT = r"(?:0|[1-9][0-9]*)"  # canonical decimal, no leading zero
-_MONO_KEY = re.compile(rf"{_EXPONENT},{_EXPONENT},{_EXPONENT}")
 
 T = TypeVar("T")
 
@@ -356,9 +353,7 @@ def jet_from_obj(obj: Mapping[str, Mapping[str, str]] | Mapping[str, object]) ->
             raise DomainError(f"jet component {name!r} must be an object")
         table: PolyTable = {}
         for key, value in raw.items():  # type: ignore[union-attr]
-            if not isinstance(key, str) or not _MONO_KEY.fullmatch(key):
-                raise DomainError(f"malformed jet monomial key {key!r}")
-            i, j, k = (int(part) for part in key.split(","))
+            i, j, k = parse_key(key, "jet monomial key", parts=3)
             table[(i, j, k)] = parse_rational(value)
         comps.append(table)
     return PolyJet3(comps, degree)

@@ -480,8 +480,8 @@ def linear_combination(terms: Iterable[tuple[int, TruncSeries]], den: int,
 
 
 _RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
-#: Canonical decimal only: a leading zero would give one degree two spellings.
-_DEGREE_KEY = re.compile(r"0|[1-9][0-9]*")
+#: Canonical decimal only: a leading zero would give one key two spellings.
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
 
 
 def parse_rational(text: object) -> Fraction:
@@ -492,6 +492,8 @@ def parse_rational(text: object) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise DomainError(f"zero denominator in rational literal {text!r}") from None
+    except ValueError:  # past Python's limit on the digits of an integer string
+        raise DomainError(f"too many digits in rational literal {text!r}") from None
 
 
 def parse_integer(value: object) -> int:
@@ -499,6 +501,17 @@ def parse_integer(value: object) -> int:
     if type(value) is not int:
         raise DomainError(f"expected a JSON integer, got {type(value).__name__}")
     return value
+
+
+def parse_key(key: object, what: str, parts: int = 1) -> list[int]:
+    """Parse a key of ``parts`` canonical ASCII decimals joined by commas."""
+    fields = key.split(",") if isinstance(key, str) else []
+    if len(fields) != parts or not all(_DECIMAL.fullmatch(f) for f in fields):
+        raise DomainError(f"malformed {what} {key!r}")
+    try:
+        return [int(f) for f in fields]
+    except ValueError:  # past Python's limit on the digits of an integer string
+        raise DomainError(f"too many digits in {what} {key!r}") from None
 
 
 def format_rational(value: Rational) -> str:
@@ -511,9 +524,8 @@ def series_from_obj(obj: Mapping[str, str], trunc: int) -> TruncSeries:
     """Build a series from the literal JSON form {degree: rational}."""
     table: dict[int, Fraction] = {}
     for key, value in obj.items():
-        if not isinstance(key, str) or not _DEGREE_KEY.fullmatch(key):
-            raise DomainError(f"malformed series degree key {key!r}")
-        table[int(key)] = parse_rational(value)
+        (degree,) = parse_key(key, "series degree key")
+        table[degree] = parse_rational(value)
     return TruncSeries(table, trunc)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from mtower import cli
 from mtower.cli import main
 from mtower.curves import curve_from_obj, curve_to_obj, monomial_curve
 from mtower.formats import (certificate_from_obj, certificate_to_obj,
@@ -256,6 +257,58 @@ def test_malformed_coefficient_is_a_domain_error(capsys, tmp_path, coeff):
     _assert_domain_error(capsys, ["rvt", "--curve", str(path), "--level", "1"])
 
 
+@pytest.mark.parametrize("literal", ["1" + "0" * 4999, "-1/" + "7" * 5000],
+                         ids=["integer", "denominator"])
+def test_oversized_rational_literal_is_a_domain_error(capsys, tmp_path, literal):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"trunc": 8, "x": {"1": literal}, "y": {}, "z": {}}))
+    _assert_domain_error(capsys, ["rvt", "--curve", str(path), "--level", "2"],
+                         literal)
+
+
+def test_oversized_degree_key_is_a_domain_error(capsys, tmp_path):
+    key = "1" + "0" * 4999
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"trunc": 8, "x": {"1": "1", key: "1"},
+                                "y": {}, "z": {}}))
+    _assert_domain_error(capsys, ["rvt", "--curve", str(path), "--level", "2"],
+                         key)
+
+
+def test_oversized_jet_key_is_a_domain_error(capsys, tmp_path):
+    key = "1" + "0" * 4999 + ",0,0"
+    diffeo = tmp_path / "phi.json"
+    diffeo.write_text(json.dumps({"degree": 2, "phi1": {"1,0,0": "1", key: "1"},
+                                  "phi2": {"0,1,0": "1"}, "phi3": {"0,0,1": "1"}}))
+    point = tmp_path / "p.json"
+    point.write_text(dumps(point_to_obj(
+        prolong_curve(monomial_curve(1, None, None), 1).point)))
+    _assert_domain_error(capsys, ["apply", "--diffeo", str(diffeo),
+                                  "--point", str(point)], key)
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "no such file: {}"),
+    (b'{"trunc": 8', "malformed JSON in {}: Expecting"),
+    (b'{"trunc": 8, "x": {"1": "\xff"}}', "cannot read JSON from {}: 'utf-8'"),
+    ("directory", "cannot read JSON from {}: "),
+    (b"[" * 100_000 + b"]" * 100_000, "cannot read JSON from {}: maximum recursion"),
+    (b"9" * 5000, "cannot read JSON from {}: Exceeds the limit (4300 digits)")],
+    ids=["missing", "malformed", "non-utf-8", "directory", "deep", "long-integer"])
+def test_unreadable_input_is_an_error_object(capsys, tmp_path, content, message):
+    path = tmp_path / "input.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    assert main(["rvt", "--curve", str(path), "--level", "2"]) == 1
+    captured = capsys.readouterr()
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "error"
+    assert error["message"].startswith(message.format(path))
+    assert "Traceback" not in captured.err
+
+
 def test_malformed_jet_component_is_a_domain_error(capsys, tmp_path):
     diffeo = tmp_path / "phi.json"
     diffeo.write_text(json.dumps({"degree": 2, "phi1": ["1,0,0"]}))
@@ -415,12 +468,12 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_verify_rvvv_verb(run):
-    code, out = run("--seed", "3", "verify", "--suite", "rvvv")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["passed"] is True
-    assert payload["codes"] == ["RVVV", "RVVV"]
+def test_main_builds_the_parser_once(run):
+    cli.build_parser.cache_clear()
+    assert run("classes", "--level", "2")[0] == 0
+    assert run("--table", "classes", "--level", "3")[0] == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_mt_trunc_environment_override(run, monkeypatch):

@@ -79,36 +79,6 @@ def test_image_vanishing_up_to_truncation_is_a_shortfall():
                       rvvv_points()[1], trunc=4)
 
 
-def test_well_definedness_many_trials():
-    rng = random.Random(2024)
-    points = [prolong_curve(CUSP, 2).point,
-              rvv_representative(),
-              prolong_curve(monomial_curve(4, 6, 7), 3).point,
-              point_above(rvv_representative(), (0, 1, 1))]
-    trials = 0
-    while trials < 50:
-        p = points[trials % len(points)]
-        phi = sample_diffeo(rng, degree=2)
-        s, r = rng.randint(0, 3), rng.randint(-2, 2)
-        direction = (F(1), F(s), F(r))
-        if any(h.contains(direction) for h in p.arrangement):
-            continue
-        gamma = realize_point(p, tangent=(s, r))
-        alt = prolong_curve(phi.apply_to_curve(gamma), p.level).point
-        assert alt == prolong_apply(phi, p)
-        trials += 1
-
-
-def test_functoriality_of_prolonged_composition():
-    rng = random.Random(5)
-    p = rvv_representative()
-    for _ in range(10):
-        phi = sample_diffeo(rng, degree=2, jet_degree=12)
-        psi = sample_diffeo(rng, degree=2, jet_degree=12)
-        composed = phi.compose(psi, degree=12)
-        assert prolong_apply(composed, p) == prolong_apply(phi, prolong_apply(psi, p))
-
-
 def test_level_one_action_matches_pushforward_formula():
     # Independent oracle: on the chart [1 : u : v] the prolonged action is
     #   u' = (phi2_x + u phi2_y + v phi2_z) / (phi1_x + u phi1_y + v phi1_z)

@@ -28,14 +28,19 @@ from pathlib import Path
 
 import pytest
 
-from mtower.cli import main
+from mtower.cli import VERBS, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "rvt": ["rvt", "--curve", "cusp.json", "--level", "3"],
+    # global flags given on the verb side
+    "rvt-table": ["rvt", "--curve", "cusp.json", "--level", "3", "--table"],
     "prolong": ["prolong", "--curve", "cusp.json", "--level", "1"],
     "semigroup": ["semigroup", "--curve", "c24.json", "--bound", "23"],
+    # a global flag on both sides of the verb: the verb side wins
+    "semigroup-bound-both": ["--bound", "12", "semigroup", "--curve", "c24.json",
+                             "--bound", "23"],
     "semigroup-moved": ["semigroup", "--curve", "moved40.json"],
     # witnesses with 177-bit numerators over dozens of distinct denominators
     "semigroup-jet32": ["semigroup", "--curve", "jet32.json"],
@@ -44,6 +49,7 @@ CASES = {
     "planar-moved": ["planar", "--curve", "moved40.json"],
     "apply": ["apply", "--diffeo", "phi.json", "--point", "p3.json"],
     "classes": ["classes", "--level", "4"],
+    "classes-table": ["classes", "--level", "3", "--table"],
     "census": ["census", "--level", "4"],
     "census-table": ["--table", "census", "--level", "4"],
     "reduce": ["reduce", "--curve", "c24.json"],
@@ -88,6 +94,11 @@ def test_golden_output(case, tmp_path):
     code, out = _run(case, tmp_path)
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / f"{case}.out").read_bytes()
+
+
+def test_every_verb_has_a_golden_case():
+    parser = build_parser()
+    assert {parser.parse_args(argv).verb for argv in CASES.values()} == set(VERBS)
 
 
 def _record(names: list[str]) -> None:

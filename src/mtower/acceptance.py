@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .census import orbit_census, rvv_point, rvvv_points, verify_rvvv_split
+from .census import (RVVV_SAMPLES, orbit_census, rvv_point, rvvv_points,
+                     verify_rvvv_split)
 from .curves import CurveGerm, monomial_curve
 from .diffeo import (DiffeoJet, fiber_action, isotropy_check, prolong_apply,
                      rand_fraction, sample_diffeo, taylor_constraints)
@@ -201,9 +202,9 @@ def criterion_10_isotropy_constraints() -> str:
 
 
 def criterion_11_rvvv_split() -> str:
-    report = verify_rvvv_split(seed=0, samples=20, scalings=10)
+    report = verify_rvvv_split(seed=0)
     _check(report.passed, "split report failed")
-    _check(report.axis_fixed_samples == 20, "not all samples fixed [1:0]")
+    _check(report.axis_fixed_samples == RVVV_SAMPLES, "not all samples fixed [1:0]")
     p3 = rvv_point()
     for a, b, c in [(2, 3, 5), (1, 2, 1), (3, 1, F(1, 2))]:
         lam = F(c) * F(a) / (F(b) ** 2)

@@ -35,23 +35,17 @@ _SUCCESSORS = {
 _MAX_LEVEL = 4
 
 
-def class_successors(letter: str, arrangement_size: int | None = None
-                     ) -> tuple[str, ...]:
+def class_successors(letter: str) -> tuple[str, ...]:
     """Admissible next letters after a given letter.
 
-    ``arrangement_size`` (1, 2 or 3) may be passed as a cross-check; it is
-    determined by the letter. Letters born over an L point have no successor
-    table here, matching the level-4 cap.
+    Letters born over an L point have no successor table here, matching the
+    level-4 cap.
     """
     if letter in ("T1", "T2", "L1", "L2", "L3"):
         raise DomainError(
             "successors of refined letters are unsupported beyond level 4")
     if letter not in _SUCCESSORS:
         raise DomainError(f"unknown letter {letter!r}")
-    expected = {"R": 1, "V": 2, "T": 2, "L": 3}[letter]
-    if arrangement_size is not None and arrangement_size != expected:
-        raise DomainError(
-            f"letter {letter} always carries {expected} critical hyperplanes")
     return _SUCCESSORS[letter]
 
 
@@ -235,6 +229,12 @@ def _exponent_str(c: CurveGerm) -> str:
 # -- the level-4 vertical chain split -----------------------------------------
 
 
+#: Isotropy jets sampled in (a), and distinct scalings drawn in (b) from the
+#: 32 nonzero values p/q with |p| <= 6 and 1 <= q <= 4.
+RVVV_SAMPLES = 20
+RVVV_SCALINGS = 10
+
+
 @dataclass(frozen=True)
 class RvvvReport:
     axis_fixed_samples: int
@@ -244,8 +244,7 @@ class RvvvReport:
     passed: bool
 
 
-def verify_rvvv_split(seed: int = 0, samples: int = 20, scalings: int = 10,
-                      trunc: int = DEFAULT_TRUNC) -> RvvvReport:
+def verify_rvvv_split(seed: int = 0, trunc: int = DEFAULT_TRUNC) -> RvvvReport:
     """Executable evidence that the level-4 vertical chain has two orbits.
 
     (a) sampled isotropy jets act diagonally on the fiber, fixing [1:0];
@@ -257,7 +256,7 @@ def verify_rvvv_split(seed: int = 0, samples: int = 20, scalings: int = 10,
     p3 = rvv_point(trunc)
     g3 = taylor_constraints("G3")
     fixed = 0
-    for _ in range(samples):
+    for _ in range(RVVV_SAMPLES):
         phi = sample_diffeo(rng, degree=2, constraints=g3)
         if not isotropy_check(phi, p3, trunc):
             raise AssertionError(f"sampled jet violates isotropy: {phi}")
@@ -267,7 +266,7 @@ def verify_rvvv_split(seed: int = 0, samples: int = 20, scalings: int = 10,
         fixed += 1
     images = []
     lams = []
-    while len(lams) < scalings:
+    while len(lams) < RVVV_SCALINGS:
         lam = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         if lam != 0 and lam not in lams:
             lams.append(lam)
@@ -284,7 +283,7 @@ def verify_rvvv_split(seed: int = 0, samples: int = 20, scalings: int = 10,
         gamma = realize_point(q, trunc)
         if rvt_code(gamma, 4) != point_letters(q):
             raise AssertionError("realizing curve classifies differently")
-    passed = codes == ("RVVV", "RVVV") and fixed == samples
+    passed = codes == ("RVVV", "RVVV") and fixed == RVVV_SAMPLES
     return RvvvReport(
         fixed, tuple(images), codes,
         ">= 2 orbits demonstrated by the diagonal fiber action; "

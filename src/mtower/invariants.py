@@ -64,9 +64,6 @@ class Semigroup:
     witnesses: Mapping[int, PolyTable]
     component_orders: tuple[int | None, int | None, int | None]
 
-    def __contains__(self, n: int) -> bool:
-        return n in set(self.elements)
-
     def witness_for(self, n: int) -> PolyTable:
         """Witness polynomial for ``n``, synthesized past the bound when ``n``
         decomposes as a stored element plus component orders.

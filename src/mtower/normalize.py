@@ -289,56 +289,51 @@ def _removal_jet(component: int, witness: IntPoly, scale: Fraction) -> DiffeoJet
 def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
     """Remove component terms whose exponents the semigroup certifies.
 
-    Works lowest exponent first (ties: x, then y, then z), re-deriving the
-    witness basis as the curve changes; each removal subtracts a multiple of
-    a witness polynomial from one coordinate, which strictly pushes the
-    remaining junk to higher orders. Exponents without a certificate are
-    left in place and reported.
+    One ascending pass over (order d, component x, y, z) visits each term
+    past its component's leading exponent once, reading the current curve:
+    a removal at (d, i) subtracts a multiple of a witness of order d from
+    component i alone, so it zeroes that t^d coefficient, changes nothing at
+    lower orders, and never moves a leading exponent. The witness basis is
+    re-derived when a witness goes stale. A term without a certificate, or
+    whose removal step would be singular, is left in place and reported.
     """
     bound = s.bound
     b = _Builder(c)
     steps = _ElementarySteps()
-    leftovers: set[tuple[int, int]] = set()
     current_sg = s
-    while True:
-        cur = b.current
-        pick = None
-        # the exponents past each component's leading one, lowest first
-        candidates = sorted((d, idx) for idx, comp in enumerate(cur.components)
-                            for d in sorted(comp.numerators()[0])[1:])
-        for d, idx in candidates:
-            if (idx, d) in leftovers:
+    terms = [comp.numerators()[0] for comp in c.components]
+    leads = [min(t, default=None) for t in terms]
+    left: list[tuple[int, int, str]] = []
+    for d in range(1, max(comp.trunc for comp in c.components) + 1):
+        for idx in range(3):
+            if d not in terms[idx] or d == leads[idx]:
                 continue
             try:
                 witness = current_sg.witness_for(d)
             except DomainError:
-                leftovers.add((idx, d))
+                left.append((idx, d, f"no certificate up to bound {bound}"))
                 continue
-            pick = (d, idx, witness)
-            break
-        if pick is None:
-            break
-        d, idx, witness = pick
-        # the semigroup itself is invariant under these moves; only the
-        # witnesses can go stale as the curve changes
-        poly = integer_poly(witness)
-        composed = steps.value(cur, poly)
-        if composed.order() != d:
-            current_sg = semigroup(cur, bound)
-            poly = integer_poly(current_sg.witness_for(d))
+            cur = b.current
+            # the semigroup itself is invariant under these moves; only the
+            # witnesses can go stale as the curve changes
+            poly = integer_poly(witness)
             composed = steps.value(cur, poly)
             if composed.order() != d:
-                raise AssertionError(f"fresh witness for {d} has the wrong order")
-        scale = cur.components[idx].coefficient(d) / composed.coefficient(d)
-        while True:
+                current_sg = semigroup(cur, bound)
+                poly = integer_poly(current_sg.witness_for(d))
+                composed = steps.value(cur, poly)
+                if composed.order() != d:
+                    raise AssertionError(f"fresh witness for {d} has the wrong order")
+            scale = cur.components[idx].coefficient(d) / composed.coefficient(d)
             try:
                 jet = _removal_jet(idx, poly, scale)
-                break
             except DomainError:
-                scale = scale / 2  # singular linear part; remove in halves
-        b.push(JetStep(jet), steps.remove(cur, idx, scale, composed))
-    notes = tuple(f"left t^{d} in component {idx + 1} (no certificate up to "
-                  f"bound {bound})" for idx, d in sorted(leftovers))
+                left.append((idx, d, "its removal step would be singular"))
+                continue
+            b.push(JetStep(jet), steps.remove(cur, idx, scale, composed))
+            terms = [comp.numerators()[0] for comp in b.current.components]
+    notes = tuple(f"left t^{d} in component {idx + 1} ({why})"
+                  for idx, d, why in sorted(left))
     return StepResult(b.current, b.trace(), notes)
 
 

@@ -135,23 +135,19 @@ def _prolong_normal(normal: Direction, d: int) -> Direction:
 
 
 def prolong_hyperplane(plane: CriticalHyperplane,
-                       direction: Sequence[Rational],
-                       q: "TowerPoint") -> CriticalHyperplane:
+                       direction: Sequence[Rational]) -> CriticalHyperplane:
     """Prolong a critical hyperplane through a direction contained in it.
 
-    ``q`` is the point one level up centered on ``direction``; its last chart
-    index fixes how the coframe is renamed.
+    The chart step centered on ``direction`` fixes how the coframe is
+    renamed.
     """
     dirn = _as_direction(direction)
     if not plane.contains(dirn):
         raise DomainError(
             "direction is not inside the hyperplane; its baby monster "
             "does not pass through the new point")
-    if q.level < 1:
-        raise DomainError("target point must live at level >= 1")
-    d = q.chart[-1]
     return CriticalHyperplane(plane.birth_level, plane.age + 1,
-                              _prolong_normal(plane.normal, d))
+                              _prolong_normal(plane.normal, _center(dirn)[0]))
 
 
 def _next_arrangement(parent: Arrangement, direction: Direction,

@@ -2,9 +2,9 @@
 
 import pytest
 
-from mtower.census import (census_table, class_successors,
-                           enumerate_classes, orbit_census, representatives,
-                           rvvv_points, verify_rvvv_split)
+from mtower.census import (RVVV_SAMPLES, RVVV_SCALINGS, census_table,
+                           class_successors, enumerate_classes, orbit_census,
+                           representatives, rvvv_points, verify_rvvv_split)
 from mtower.errors import DomainError
 from mtower.tower import point_letters, rvt_code, word_str
 
@@ -26,12 +26,6 @@ def test_successors_of_refined_letters_rejected():
     for letter in ("T1", "T2", "L1", "L2", "L3"):
         with pytest.raises(DomainError):
             class_successors(letter)
-
-
-def test_successor_arrangement_cross_check():
-    assert class_successors("V", arrangement_size=2)
-    with pytest.raises(DomainError):
-        class_successors("V", arrangement_size=3)
 
 
 # -- enumeration --------------------------------------------------------------------
@@ -183,8 +177,8 @@ def test_rvvv_points_are_the_two_candidates():
 
 
 def test_verify_rvvv_split_small_sample():
-    report = verify_rvvv_split(seed=1, samples=3, scalings=4)
+    report = verify_rvvv_split(seed=1)
     assert report.passed
-    assert report.axis_fixed_samples == 3
-    assert len(report.scaling_images) == 4
+    assert report.axis_fixed_samples == RVVV_SAMPLES
+    assert len(report.scaling_images) == RVVV_SCALINGS
     assert report.codes == ("RVVV", "RVVV")

@@ -1,18 +1,22 @@
 """Normal-form reductions, traces, equivalence certificates."""
 
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from mtower.curves import CurveGerm, monomial_curve
+from mtower.cli import main
+from mtower.curves import CurveGerm, curve_to_obj, monomial_curve
 from mtower.diffeo import DiffeoJet
 from mtower.errors import DomainError
-from mtower.invariants import multiplicity, semigroup
+from mtower.formats import dumps, trace_to_obj
+from mtower.invariants import multiplicity, semigroup, well_parameterized
 from mtower.jets import integer_poly
 from mtower.normalize import (JetStep, ReductionTrace, ReparamStep, ScaleStep,
-                              TraceEntry, _ElementarySteps, _compose_trace,
-                              _removal_jet, apply_certificate, apply_step,
+                              StepResult, TraceEntry, _Builder,
+                              _ElementarySteps, _compose_trace, _removal_jet,
+                              apply_certificate, apply_step,
                               equivalence_search, kill_semigroup_terms,
                               monomialize_first, reduce_catalog,
                               scale_normalize, zariski_step)
@@ -147,6 +151,135 @@ def test_kill_removes_mixed_axis_term_past_the_bound():
     c = curve({5: 1}, {8: 1, 24: 1}, {})
     result = kill_semigroup_terms(c, semigroup(c, 23))
     assert result.curve.y.coefficient(24) == 0
+
+
+@pytest.mark.time_limit(10)
+def test_kill_leaves_a_term_whose_removal_is_singular():
+    # the witness of 5 is x^2 - z, and z -> z + (x^2 - z) has no linear part
+    # in z; the term stays and the pass goes on to t^7 in y
+    c = curve({2: 1}, {3: 1, 7: 1}, {4: 1, 5: 1}, trunc=16)
+    result = kill_semigroup_terms(c, semigroup(c, 16))
+    assert result.curve.agrees_with(curve({2: 1}, {3: 1}, {4: 1, 5: 1}, trunc=16))
+    assert result.notes == (
+        "left t^5 in component 3 (its removal step would be singular)",)
+    assert result.trace.replay(c).agrees_with(result.curve)
+
+
+# -- one ordered pass against the restarting loop it replaced -------------------
+
+SINGULAR = "its removal step would be singular"
+# an RVR and two RRR curves whose reduction meets a singular removal step
+SINGULAR_CURVES = [
+    (({2: 1}, {3: 1}, {4: 1, 5: 1}), f"left t^5 in component 3 ({SINGULAR})"),
+    (({1: 1}, {2: 1, 3: 1}, {}), f"left t^3 in component 2 ({SINGULAR})"),
+    (({1: 1}, {3: 1, 4: 1}, {}), f"left t^4 in component 2 ({SINGULAR})"),
+]
+
+
+def _write(tmp_path, name, obj):
+    path = tmp_path / name
+    path.write_text(dumps(obj))
+    return str(path)
+
+
+@pytest.mark.time_limit(10)
+@pytest.mark.parametrize("comps, note", SINGULAR_CURVES,
+                         ids=["rvr", "rrr-t3", "rrr-t4"])
+def test_reduce_answers_on_a_singular_removal(comps, note, capsys, tmp_path):
+    c = curve(*comps, trunc=16)
+    result = reduce_catalog(c)
+    assert note in result.notes
+    assert result.trace.replay(c).agrees_with(result.curve)
+    curve_path = _write(tmp_path, "c.json", curve_to_obj(c))
+    assert main(["reduce", "--curve", curve_path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert note in payload["notes"]
+    trace_path = _write(tmp_path, "trace.json", payload["trace"])
+    assert main(["replay", "--trace", trace_path, "--curve", curve_path]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+
+
+@pytest.mark.time_limit(10)
+def test_equiv_answers_on_a_singular_removal(capsys, tmp_path):
+    (comps, note), = SINGULAR_CURVES[:1]
+    left = _write(tmp_path, "left.json", curve_to_obj(curve(*comps, trunc=16)))
+    right = _write(tmp_path, "right.json",
+                   curve_to_obj(curve({2: 1}, {3: 1}, {}, trunc=16)))
+    assert main(["equiv", "--left", left, "--right", right]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "unknown"
+    assert note in payload["notes"]
+
+
+def restarting_kill(c: CurveGerm, s) -> StepResult:
+    """The term removal that the ordered pass replaced: after every removal
+    it rescans from the lowest term, skipping the terms it gave up on. Where
+    a removal step would be singular that loop halved the step forever, so
+    such an example is discarded."""
+    bound = s.bound
+    b = _Builder(c)
+    steps = _ElementarySteps()
+    leftovers: set[tuple[int, int]] = set()
+    current_sg = s
+    while True:
+        cur = b.current
+        pick = None
+        candidates = sorted((d, idx) for idx, comp in enumerate(cur.components)
+                            for d in sorted(comp.numerators()[0])[1:])
+        for d, idx in candidates:
+            if (idx, d) in leftovers:
+                continue
+            try:
+                witness = current_sg.witness_for(d)
+            except DomainError:
+                leftovers.add((idx, d))
+                continue
+            pick = (d, idx, witness)
+            break
+        if pick is None:
+            break
+        d, idx, witness = pick
+        poly = integer_poly(witness)
+        composed = steps.value(cur, poly)
+        if composed.order() != d:
+            current_sg = semigroup(cur, bound)
+            poly = integer_poly(current_sg.witness_for(d))
+            composed = steps.value(cur, poly)
+            if composed.order() != d:
+                raise AssertionError(f"fresh witness for {d} has the wrong order")
+        scale = cur.components[idx].coefficient(d) / composed.coefficient(d)
+        try:
+            jet = _removal_jet(idx, poly, scale)
+        except DomainError:
+            assume(False)
+        b.push(JetStep(jet), steps.remove(cur, idx, scale, composed))
+    notes = tuple(f"left t^{d} in component {idx + 1} (no certificate up to "
+                  f"bound {bound})" for idx, d in sorted(leftovers))
+    return StepResult(b.current, b.trace(), notes)
+
+
+@st.composite
+def messy_curves(draw):
+    """Leading exponents 2-5 and 1-3 extra terms, truncated at 12-24."""
+    trunc = draw(st.integers(12, 24))
+    comps = [{draw(st.integers(2, 5)): draw(nonzero)} for _ in range(3)]
+    for _ in range(draw(st.integers(1, 3))):
+        terms = comps[draw(st.integers(0, 2))]
+        terms[draw(st.integers(min(terms) + 1, trunc))] = draw(nonzero)
+    c = CurveGerm(*(TruncSeries(terms, trunc) for terms in comps))
+    assume(well_parameterized(c))
+    return c
+
+
+@given(messy_curves(), st.integers(8, 24))
+@settings(max_examples=60, deadline=None)
+def test_kill_matches_the_restarting_loop(c, bound):
+    s = semigroup(c, min(bound, c.trunc))
+    want = restarting_kill(c, s)
+    got = kill_semigroup_terms(c, s)
+    assert got.curve == want.curve
+    assert got.notes == want.notes
+    assert dumps(trace_to_obj(got.trace)) == dumps(trace_to_obj(want.trace))
 
 
 # -- scaling ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from mtower.series import TruncSeries
 from mtower.tower import (classify_direction, make_point, parse_word,
                           point_above, point_letters, project_point,
                           prolong_curve, prolong_hyperplane, realize_point,
-                          rvt_code, word_str)
+                          rvt_code, vertical_plane, word_str)
 
 F = Fraction
 
@@ -154,19 +154,20 @@ def test_prolong_hyperplane_reproduces_both_tangency_planes():
     vertical2 = [h for h in p2.arrangement if h.is_vertical][0]
     tangency2 = [h for h in p2.arrangement if not h.is_vertical][0]
     ell = (F(0), F(0), F(1))  # the L direction d/dv2
-    p3 = point_above(p2, ell)
-    d12 = prolong_hyperplane(vertical2, ell, p3)
-    d21 = prolong_hyperplane(tangency2, ell, p3)
+    d12 = prolong_hyperplane(vertical2, ell)
+    d21 = prolong_hyperplane(tangency2, ell)
     assert d12.normal == (0, 1, 0) and d12.birth_level == 2 and d12.age == 1
     assert d21.normal == (0, 0, 1) and d21.birth_level == 1 and d21.age == 2
+    # the same planes as the arrangement of the point centered on ell
+    p3 = point_above(p2, ell)
+    assert set(p3.arrangement) == {vertical_plane(3), d12, d21}
 
 
 def test_prolong_hyperplane_of_first_vertical():
     p1 = prolong_curve(LINE, 1).point
     v1 = p1.arrangement[0]
     ell = (F(0), F(1), F(0))
-    p2 = point_above(p1, ell)
-    d11 = prolong_hyperplane(v1, ell, p2)
+    d11 = prolong_hyperplane(v1, ell)
     assert d11.normal == (0, 1, 0)
     assert d11.contains((0, 0, 1))
 
@@ -174,10 +175,19 @@ def test_prolong_hyperplane_of_first_vertical():
 def test_prolong_hyperplane_rejects_outside_direction():
     p1 = prolong_curve(LINE, 1).point
     v1 = p1.arrangement[0]
-    ell = (F(1), F(0), F(0))
-    p2 = point_above(p1, ell)
     with pytest.raises(DomainError):
-        prolong_hyperplane(v1, ell, p2)
+        prolong_hyperplane(v1, (F(1), F(0), F(0)))
+
+
+def test_prolong_hyperplane_renames_by_its_own_direction():
+    # at the RV point of the cusp, the tangency plane (0, 1, 0) contains the
+    # direction (1, 0, 0), whose chart step has denominator 0
+    p2 = prolong_curve(CUSP, 2).point
+    tangency2 = [h for h in p2.arrangement if not h.is_vertical][0]
+    assert tangency2.normal == (0, 1, 0)
+    got = prolong_hyperplane(tangency2, (F(1), F(0), F(0)))
+    assert got.normal == (0, 1, 0)
+    assert point_above(p2, (F(1), F(0), F(0))).arrangement[1] == got
 
 
 # -- direction classification -----------------------------------------------------

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .census import (RVVV_SAMPLES, orbit_census, rvv_point, rvvv_points,
-                     verify_rvvv_split)
+from .census import (RVVV_SAMPLES, enumerate_classes, orbit_census, rvv_point,
+                     rvvv_points, verify_rvvv_split)
 from .curves import CurveGerm, monomial_curve
 from .diffeo import (DiffeoJet, fiber_action, isotropy_check, prolong_apply,
                      rand_fraction, sample_diffeo, taylor_constraints)
@@ -89,7 +89,6 @@ def criterion_3_semigroups() -> str:
 
 
 def criterion_4_class_enumeration() -> str:
-    from .census import enumerate_classes
     counts = [len(enumerate_classes(level)) for level in (1, 2, 3, 4)]
     _check(counts == [1, 2, 6, 23], f"class counts {counts}")
     level3 = [word_str(w) for w in enumerate_classes(3)]

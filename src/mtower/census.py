@@ -21,6 +21,7 @@ from .curves import CurveGerm, monomial_curve
 from .diffeo import (DiffeoJet, fiber_action, isotropy_check,
                      sample_diffeo, taylor_constraints)
 from .errors import DomainError
+from .invariants import semigroup
 from .series import DEFAULT_TRUNC
 from .tower import (TowerPoint, parse_word, point_above, point_letters,
                     prolong_curve, realize_point, rvt_code, word_str)
@@ -137,7 +138,6 @@ def _membership_evidence(code: str, curves: Sequence[CurveGerm],
 
 
 def _separation_evidence(curves: Sequence[CurveGerm], level: int) -> list[Evidence]:
-    from .invariants import semigroup
     points = [prolong_curve(c, level).point for c in curves]
     for i in range(len(points)):
         for j in range(i + 1, len(points)):

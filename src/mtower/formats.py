@@ -149,11 +149,19 @@ def trace_from_obj(obj: Mapping[str, object]) -> ReductionTrace:
     if not isinstance(steps, list):
         raise DomainError("trace object needs a 'steps' list")
     entries = []
+    raw_after, after = None, None
     for raw in steps:
-        entries.append(TraceEntry(
-            _step_from_obj(raw),
-            curve_from_obj(_field(raw, "before", "trace")),
-            curve_from_obj(_field(raw, "after", "trace"))))
+        step = _step_from_obj(raw)
+        raw_before = _field(raw, "before", "trace")
+        # a step usually starts from the curve the previous one produced, as
+        # trace_to_obj writes it, and then shares its parsed form
+        if after is None or raw_before != raw_after:
+            before = curve_from_obj(raw_before)
+        else:
+            before = after
+        raw_after = _field(raw, "after", "trace")
+        after = curve_from_obj(raw_after)
+        entries.append(TraceEntry(step, before, after))
     return ReductionTrace(tuple(entries))
 
 

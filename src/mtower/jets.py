@@ -137,14 +137,16 @@ def evaluate_polys(polys: Iterable[IntPoly],
     den)`` adds up the (integer numerator, term) pairs and divides by the
     polynomial's denominator once. Every power of an axis is computed once
     and shared by all the polynomials; the polynomials are read and
-    evaluated lazily, one at a time.
+    evaluated lazily, one at a time. A polynomial that is one axis alone
+    (coefficient 1, denominator 1) yields that axis's image itself.
 
     The powers last for this call, or as long as the caller keeps
     ``powers``: a table of one list per axis (empty at first) that holds the
     powers of that axis's image between calls. A list is restarted whenever
-    its axis's image is not the same object as before, so a loop that
-    replaces one image per call keeps the powers of the others. One table
-    serves one ``mul`` (one truncation or degree).
+    its axis's image is not the same object as before; since an identity
+    component passes its image through, a loop that feeds each call the
+    results of the last keeps the powers of the axes a step leaves in place.
+    One table serves one ``mul`` (one truncation or degree).
     """
     if powers is None:
         powers = [[one, image] for image in images]
@@ -164,6 +166,11 @@ def evaluate_polys(polys: Iterable[IntPoly],
         return reduce(mul, factors) if factors else one
 
     for num, den in polys:
+        if den == 1 and len(num) == 1:
+            (mono, x), = num.items()
+            if x == 1 and sum(mono) == 1:
+                yield images[mono.index(1)]
+                continue
         yield scaled_sum(((x, term(mono)) for mono, x in num.items()), den)
 
 

@@ -56,86 +56,31 @@ class ScaleStep:
 
     kind = "scale"
 
+    @property
+    def phi(self) -> DiffeoJet:
+        """The scaling as its diagonal jet of degree 1."""
+        return DiffeoJet.diagonal(*self.factors, 1)
+
 
 Step = Union[ReparamStep, JetStep, ScaleStep]
 
 
-def apply_step(c: CurveGerm, step: Step) -> CurveGerm:
-    if isinstance(step, ReparamStep):
-        return c.reparametrize(step.tau)
-    if isinstance(step, JetStep):
-        return step.phi.apply_to_curve(c)
-    if isinstance(step, ScaleStep):
-        a, b, d = step.factors
-        return c.map_jet(PolyJet3.diagonal(a, b, d, 1))
+def _jet_of(step: Step) -> DiffeoJet:
+    if isinstance(step, (JetStep, ScaleStep)):
+        return step.phi
     raise DomainError(f"unknown reduction step {step!r}")
 
 
-# -- elementary steps ---------------------------------------------------------
-
-_IDENTITY = PolyJet3.identity(1).polys
-
-
-def _elementary(step: Step) -> tuple[int, IntPoly] | None:
-    """(i, p) when ``step`` is a jet step that is the identity in every
-    component but the i-th, whose polynomial (in integer form) is p."""
-    if isinstance(step, JetStep):
-        polys = step.phi.jet.polys
-        moved = [i for i in range(3) if polys[i] != _IDENTITY[i]] or [0]
-        if len(moved) == 1:
-            return moved[0], polys[moved[0]]
-    return None
-
-
-class _ElementarySteps:
-    """Elementary jet steps, applied one after another to a curve or a jet.
-
-    A jet step that is the identity in two components and x_i - s*w in the
-    third replaces component i alone, by c_i - s*w(c); every component is
-    restricted to the common truncation, as ``CurveGerm.map_jet`` does. One
-    table of axis powers (see :func:`jets.evaluate_polys`) serves the whole
-    loop, so a step keeps the powers of the two components it leaves in
-    place. Every other step goes through :func:`apply_step` or
-    ``DiffeoJet.compose`` unchanged.
-    """
-
-    def __init__(self):
-        self.powers: list[list] = [[], [], []]
-
-    def value(self, c: CurveGerm, poly: IntPoly) -> TruncSeries:
-        """poly(c), known through the truncation of the curve."""
-        return next(evaluate_polys([poly], *on_series(*c.components),
-                                   powers=self.powers))
-
-    @staticmethod
-    def _replaced(c: CurveGerm, i: int, value: TruncSeries) -> CurveGerm:
-        comps = [s.restrict(c.trunc) for s in c.components]
-        comps[i] = value
-        return CurveGerm(*comps)
-
-    def remove(self, c: CurveGerm, i: int, scale: Fraction,
-               value: TruncSeries) -> CurveGerm:
-        """The step x_i -> x_i - scale*w applied to ``c``, given value = w(c)."""
-        return self._replaced(c, i, c.components[i] - value.scale(scale))
-
-    def apply(self, c: CurveGerm, step: Step) -> CurveGerm:
-        """``apply_step(c, step)``."""
-        moved = _elementary(step)
-        if moved is None:
-            return apply_step(c, step)
-        i, poly = moved
-        return self._replaced(c, i, self.value(c, poly))
-
-    def compose(self, step: JetStep, phi: DiffeoJet, degree: int) -> DiffeoJet:
-        """``step.phi.compose(phi, degree)``."""
-        moved = _elementary(step)
-        if moved is None:
-            return step.phi.compose(phi, degree)
-        i, poly = moved
-        args = on_polys(phi.jet.polys, degree)
-        polys = list(args[0])
-        polys[i] = next(evaluate_polys([poly], *args, powers=self.powers))
-        return DiffeoJet(jet_from_polys(polys, degree))
+def apply_step(c: CurveGerm, step: Step,
+               powers: list[list] | None = None) -> CurveGerm:
+    """``step`` applied to ``c``. A loop that keeps ``powers`` (see
+    :func:`jets.evaluate_polys`) shares the axis powers of the components
+    its jet steps leave in place."""
+    if isinstance(step, ReparamStep):
+        return c.reparametrize(step.tau)
+    polys = _jet_of(step).jet.polys
+    return CurveGerm(*evaluate_polys(polys, *on_series(*c.components),
+                                     powers=powers))
 
 
 @dataclass(frozen=True)
@@ -159,12 +104,12 @@ class ReductionTrace:
     def replay(self, c: CurveGerm) -> CurveGerm:
         """Re-execute the steps on ``c``; the snapshots must be reproduced
         exactly up to the available truncation."""
-        steps = _ElementarySteps()
+        powers: list[list] = [[], [], []]
         cur = c
         for entry in self.entries:
             if not cur.agrees_with(entry.before):
                 raise DomainError("trace replay diverged from its before-snapshot")
-            cur = steps.apply(cur, entry.step)
+            cur = apply_step(cur, entry.step, powers)
             if not cur.agrees_with(entry.after):
                 raise DomainError("trace replay diverged from its after-snapshot")
         return cur
@@ -177,12 +122,13 @@ class _Builder:
     def __init__(self, start: CurveGerm):
         self.current = start
         self.entries: list[TraceEntry] = []
+        self.powers: list[list] = [[], [], []]
 
     def push(self, step: Step, after: CurveGerm | None = None) -> CurveGerm:
         """Record ``step``; ``after`` is its result when the caller has it."""
         before = self.current
         if after is None:
-            after = apply_step(before, step)
+            after = apply_step(before, step, self.powers)
         self.entries.append(TraceEntry(step, before, after))
         self.current = after
         return after
@@ -275,6 +221,9 @@ def zariski_step(c: CurveGerm) -> StepResult:
     return StepResult(mono.curve, trace)
 
 
+_IDENTITY = PolyJet3.identity(1).polys
+
+
 def _removal_jet(component: int, witness: IntPoly, scale: Fraction) -> DiffeoJet:
     """The elementary jet x_i -> x_i - scale*witness for i = ``component``,
     the identity in the other two components."""
@@ -284,6 +233,21 @@ def _removal_jet(component: int, witness: IntPoly, scale: Fraction) -> DiffeoJet
         [(q, polys[component]), (-scale.numerator, witness)], q)
     degree = max(max(sum(m) for m in witness[0]), 1)
     return DiffeoJet(jet_from_polys(polys, degree))
+
+
+def _value(c: CurveGerm, poly: IntPoly, powers: list[list]) -> TruncSeries:
+    """poly(c), known through the truncation of the curve."""
+    return next(evaluate_polys([poly], *on_series(*c.components),
+                               powers=powers))
+
+
+def _removed(c: CurveGerm, i: int, scale: Fraction,
+             value: TruncSeries) -> CurveGerm:
+    """The step x_i -> x_i - scale*w applied to ``c``, given value = w(c):
+    what :func:`apply_step` gives for the removal jet."""
+    comps = [s.restrict(c.trunc) for s in c.components]
+    comps[i] = c.components[i] - value.scale(scale)
+    return CurveGerm(*comps)
 
 
 def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
@@ -299,7 +263,6 @@ def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
     """
     bound = s.bound
     b = _Builder(c)
-    steps = _ElementarySteps()
     current_sg = s
     terms = [comp.numerators()[0] for comp in c.components]
     leads = [min(t, default=None) for t in terms]
@@ -317,11 +280,11 @@ def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
             # the semigroup itself is invariant under these moves; only the
             # witnesses can go stale as the curve changes
             poly = integer_poly(witness)
-            composed = steps.value(cur, poly)
+            composed = _value(cur, poly, b.powers)
             if composed.order() != d:
                 current_sg = semigroup(cur, bound)
                 poly = integer_poly(current_sg.witness_for(d))
-                composed = steps.value(cur, poly)
+                composed = _value(cur, poly, b.powers)
                 if composed.order() != d:
                     raise AssertionError(f"fresh witness for {d} has the wrong order")
             scale = cur.components[idx].coefficient(d) / composed.coefficient(d)
@@ -330,7 +293,7 @@ def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
             except DomainError:
                 left.append((idx, d, "its removal step would be singular"))
                 continue
-            b.push(JetStep(jet), steps.remove(cur, idx, scale, composed))
+            b.push(JetStep(jet), _removed(cur, idx, scale, composed))
             terms = [comp.numerators()[0] for comp in b.current.components]
     notes = tuple(f"left t^{d} in component {idx + 1} ({why})"
                   for idx, d, why in sorted(left))
@@ -489,17 +452,17 @@ class EquivalenceResult:
 
 def _compose_trace(trace: ReductionTrace, degree: int,
                    trunc: int) -> tuple[DiffeoJet, TruncSeries]:
-    steps = _ElementarySteps()
+    powers: list[list] = [[], [], []]
     phi = DiffeoJet.identity(degree)
     tau = TruncSeries.identity(trunc)
     for step in trace.steps:
         if isinstance(step, ReparamStep):
             tau = tau.compose(step.tau)
-        elif isinstance(step, JetStep):
-            phi = steps.compose(step, phi, degree)
-        elif isinstance(step, ScaleStep):
-            a, b, c = step.factors
-            phi = DiffeoJet.diagonal(a, b, c, degree).compose(phi, degree)
+        else:
+            polys = evaluate_polys(_jet_of(step).jet.polys,
+                                   *on_polys(phi.jet.polys, degree),
+                                   powers=powers)
+            phi = DiffeoJet(jet_from_polys(polys, degree))
     return phi, tau
 
 

@@ -216,19 +216,24 @@ def test_domain_error_exit_code(run, tmp_path):
     assert json.loads(out)["error"]["code"] == "domain-error"
 
 
-@pytest.mark.parametrize("tamper", ["after-snapshot", "witness"])
+@pytest.mark.parametrize("tamper", ["after-snapshot", "before-snapshot",
+                                    "witness"])
 def test_replay_rejects_a_tampered_elementary_step(capsys, tmp_path, tamper):
     trace = json.loads((GOLDEN / "reduce-alternating.out").read_text())["trace"]
     # a removal mid-trace: z -> z - s*(z^2 - x^2 y), the identity in x and y
     step = trace["steps"][17]
     assert step["phi"]["phi1"] == {"1,0,0": "1"}
     assert step["phi"]["phi2"] == {"0,1,0": "1"}
-    if tamper == "after-snapshot":
-        assert step["after"]["z"]["9"] == "27/32"
-        step["after"]["z"]["9"] = "29/32"
-    else:
+    if tamper == "witness":
         assert step["phi"]["phi3"]["2,1,0"] == "1924483/294912"
         step["phi"]["phi3"]["2,1,0"] = "1924481/294912"
+        snapshot = "after"
+    else:
+        # a tampered before-snapshot no longer repeats the previous step's
+        # after-snapshot, so it is parsed and checked on its own
+        snapshot = tamper.removesuffix("-snapshot")
+        assert step[snapshot]["z"]["9"] == "27/32"
+        step[snapshot]["z"]["9"] = "29/32"
     path = tmp_path / "trace.json"
     path.write_text(dumps(trace))
     assert main(["replay", "--trace", str(path),
@@ -236,7 +241,7 @@ def test_replay_rejects_a_tampered_elementary_step(capsys, tmp_path, tamper):
     captured = capsys.readouterr()
     assert json.loads(captured.out) == {"error": {
         "code": "domain-error",
-        "message": "trace replay diverged from its after-snapshot"}}
+        "message": f"trace replay diverged from its {snapshot}-snapshot"}}
     assert "Traceback" not in captured.err
 
 

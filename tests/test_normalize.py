@@ -12,10 +12,10 @@ from mtower.diffeo import DiffeoJet
 from mtower.errors import DomainError
 from mtower.formats import dumps, trace_to_obj
 from mtower.invariants import multiplicity, semigroup, well_parameterized
-from mtower.jets import integer_poly
+from mtower.jets import PolyJet3, integer_poly
 from mtower.normalize import (JetStep, ReductionTrace, ReparamStep, ScaleStep,
-                              StepResult, TraceEntry, _Builder,
-                              _ElementarySteps, _compose_trace, _removal_jet,
+                              StepResult, TraceEntry, _Builder, _compose_trace,
+                              _removal_jet, _removed, _value,
                               apply_certificate, apply_step,
                               equivalence_search, kill_semigroup_terms,
                               monomialize_first, reduce_catalog,
@@ -218,7 +218,6 @@ def restarting_kill(c: CurveGerm, s) -> StepResult:
     such an example is discarded."""
     bound = s.bound
     b = _Builder(c)
-    steps = _ElementarySteps()
     leftovers: set[tuple[int, int]] = set()
     current_sg = s
     while True:
@@ -240,11 +239,11 @@ def restarting_kill(c: CurveGerm, s) -> StepResult:
             break
         d, idx, witness = pick
         poly = integer_poly(witness)
-        composed = steps.value(cur, poly)
+        composed = _value(cur, poly, b.powers)
         if composed.order() != d:
             current_sg = semigroup(cur, bound)
             poly = integer_poly(current_sg.witness_for(d))
-            composed = steps.value(cur, poly)
+            composed = _value(cur, poly, b.powers)
             if composed.order() != d:
                 raise AssertionError(f"fresh witness for {d} has the wrong order")
         scale = cur.components[idx].coefficient(d) / composed.coefficient(d)
@@ -252,7 +251,7 @@ def restarting_kill(c: CurveGerm, s) -> StepResult:
             jet = _removal_jet(idx, poly, scale)
         except DomainError:
             assume(False)
-        b.push(JetStep(jet), steps.remove(cur, idx, scale, composed))
+        b.push(JetStep(jet), _removed(cur, idx, scale, composed))
     notes = tuple(f"left t^{d} in component {idx + 1} (no certificate up to "
                   f"bound {bound})" for idx, d in sorted(leftovers))
     return StepResult(b.current, b.trace(), notes)
@@ -409,7 +408,7 @@ def test_equivalence_after_random_moves():
     assert got.agrees_with(c, result.certificate.verified_through)
 
 
-# -- elementary steps against the general path ---------------------------------
+# -- steps sharing one power table against each step alone ---------------------
 
 big = st.builds(F, st.integers(-2 ** 200, 2 ** 200), st.integers(1, 2 ** 200))
 nonzero = st.builds(F, st.integers(1, 9), st.integers(1, 9)).flatmap(
@@ -444,27 +443,6 @@ def removal_step(component, witness, scale):
         return None
 
 
-@given(germ_curves(), st.lists(st.tuples(removals, st.booleans()),
-                               min_size=1, max_size=6))
-@settings(max_examples=40, deadline=None)
-def test_elementary_removals_match_apply_step(c, sequence):
-    # one power table for the whole sequence; each step substitutes into one
-    # component, as in kill_semigroup_terms (remove) and in replay (apply)
-    steps = _ElementarySteps()
-    cur = c
-    for (component, witness, scale), as_removal in sequence:
-        step = removal_step(component, witness, scale)
-        if step is None:
-            continue
-        expected = apply_step(cur, step)
-        if as_removal:
-            value = steps.value(cur, integer_poly(witness))
-            cur = steps.remove(cur, component, scale, value)
-        else:
-            cur = steps.apply(cur, step)
-        assert cur == expected  # coefficients and truncations
-
-
 reparams = st.builds(
     lambda a, b, trunc: ReparamStep(TruncSeries({1: a, 2: b}, trunc)),
     nonzero, nonzero, st.integers(1, 48))
@@ -476,6 +454,78 @@ shears = st.builds(
          {(0, 0, 1): 1}], 2)), nonzero, nonzero)
 trace_steps = st.one_of(removals.map(lambda r: removal_step(*r)), reparams,
                         scalings, shears).filter(lambda step: step is not None)
+
+
+def naive_map(jet: PolyJet3, c: CurveGerm) -> CurveGerm:
+    """jet o c by series products and sums, monomial by monomial, without
+    evaluate_polys."""
+    trunc = c.trunc
+    comps = [s.restrict(trunc) for s in c.components]
+    out = []
+    for table in jet.components:
+        acc = TruncSeries({}, trunc)
+        for mono, coeff in table.items():
+            term = TruncSeries({0: 1}, trunc)
+            for s, n in zip(comps, mono):
+                for _ in range(n):
+                    term = (term * s).restrict(trunc)
+            acc = acc + term.scale(coeff)
+        out.append(acc)
+    return CurveGerm(*out)
+
+
+def naive_compose(outer: PolyJet3, inner: PolyJet3, degree: int) -> PolyJet3:
+    """outer o inner through total degree ``degree`` on Fraction tables,
+    without evaluate_polys."""
+    def mul(a, b):
+        out = {}
+        for m1, x1 in a.items():
+            for m2, x2 in b.items():
+                m = tuple(p + q for p, q in zip(m1, m2))
+                if sum(m) <= degree:
+                    out[m] = out.get(m, 0) + x1 * x2
+        return out
+
+    comps = []
+    for table in outer.components:
+        acc = {}
+        for mono, coeff in table.items():
+            term = {(0, 0, 0): F(1)}
+            for poly, n in zip(inner.components, mono):
+                for _ in range(n):
+                    term = mul(term, poly)
+            for m, x in term.items():
+                acc[m] = acc.get(m, 0) + coeff * x
+        comps.append(acc)
+    return PolyJet3(comps, degree)
+
+
+@given(germ_curves(), st.lists(st.one_of(removals, reparams, scalings, shears),
+                               min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_steps_sharing_a_power_table_match_each_step_alone(c, sequence):
+    # one power table for the whole sequence, as in replay and _Builder.push
+    powers = [[], [], []]
+    cur = c
+    for step in sequence:
+        removed = None
+        if isinstance(step, tuple):
+            component, witness, scale = step
+            step = removal_step(component, witness, scale)
+            if step is None:
+                continue
+            # term removal builds its after-curve from the value w(c)
+            value = _value(cur, integer_poly(witness), powers)
+            removed = _removed(cur, component, scale, value)
+        if isinstance(step, ReparamStep):
+            want = cur.reparametrize(step.tau)
+        else:
+            want = cur.map_jet(step.phi.jet)
+            assert want == naive_map(step.phi.jet, cur)
+        alone = apply_step(cur, step)
+        cur = apply_step(cur, step, powers)
+        assert cur == alone == want  # coefficients and truncations
+        assert removed is None or removed == cur
 
 
 @given(st.lists(trace_steps, min_size=1, max_size=6), st.integers(1, 8),
@@ -490,10 +540,11 @@ def test_compose_trace_matches_left_fold(steps, degree, trunc):
     for step in steps:
         if isinstance(step, ReparamStep):
             want_tau = want_tau.compose(step.tau)
-        elif isinstance(step, JetStep):
-            want_phi = step.phi.compose(want_phi, degree)
         else:
-            want_phi = DiffeoJet.diagonal(*step.factors, degree).compose(
-                want_phi, degree)
+            outer = step.phi if isinstance(step, JetStep) else \
+                DiffeoJet.diagonal(*step.factors, degree)
+            composed = outer.compose(want_phi, degree)
+            assert composed.jet == naive_compose(outer.jet, want_phi.jet, degree)
+            want_phi = composed
     assert phi == want_phi
     assert tau == want_tau

@@ -15,8 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .curves import CurveGerm
 from .errors import DomainError, InsufficientTruncation
-from .jets import (Mono, PolyTable, evaluate_polys, integer_poly, monomials,
-                   on_series, subtract_scaled)
+from .jets import (IntPoly, Mono, evaluate_polys, integer_poly, monomials,
+                   on_series, poly_scaled_sum)
 from .series import TruncSeries
 
 #: Default certification bound for semigroups.
@@ -53,26 +53,27 @@ def well_parameterized(c: CurveGerm) -> bool:
 class Semigroup:
     """Orders of functions along the curve, certified up to ``bound``.
 
-    ``witnesses`` maps each element to a polynomial (exponent triple ->
-    coefficient) whose composition with the curve has exactly that order.
+    ``witnesses`` maps each element to a polynomial in integer form whose
+    composition with the curve has exactly that order.
     """
 
     elements: tuple[int, ...]
     gaps: tuple[int, ...]
     bound: int
     conductor: int | None
-    witnesses: Mapping[int, PolyTable]
+    witnesses: Mapping[int, IntPoly]
     component_orders: tuple[int | None, int | None, int | None]
 
-    def witness_for(self, n: int) -> PolyTable:
+    def witness_for(self, n: int) -> IntPoly:
         """Witness polynomial for ``n``, synthesized past the bound when ``n``
         decomposes as a stored element plus component orders.
 
         Multiplying a stored witness by a coordinate monomial adds the
         component orders exactly, so the synthesized order is certified too.
+        A stored witness is shared: callers must not modify it.
         """
         if n in self.witnesses:
-            return dict(self.witnesses[n])
+            return self.witnesses[n]
         orders = [(i, o) for i, o in enumerate(self.component_orders)
                   if o is not None and o > 0]
         for base in sorted(self.witnesses, reverse=True):
@@ -82,9 +83,9 @@ class Semigroup:
         raise DomainError(f"{n} has no certified witness up to bound {self.bound}")
 
 
-def _poly_mul_mono(poly: PolyTable, mono: Mono) -> PolyTable:
-    return {(m[0] + mono[0], m[1] + mono[1], m[2] + mono[2]): c
-            for m, c in poly.items()}
+def _poly_mul_mono(poly: IntPoly, mono: Mono) -> IntPoly:
+    return ({(m[0] + mono[0], m[1] + mono[1], m[2] + mono[2]): x
+             for m, x in poly[0].items()}, poly[1])
 
 
 def _order_decomposition(target: int,
@@ -106,9 +107,9 @@ def _order_decomposition(target: int,
     return reachable.get(target)
 
 
-def poly_on_curve(poly: Mapping[Mono, Fraction], c: CurveGerm) -> TruncSeries:
-    """Compose a polynomial in (x, y, z) with the curve."""
-    return next(evaluate_polys([integer_poly(poly)], *on_series(*c.components)))
+def poly_on_curve(poly: IntPoly, c: CurveGerm) -> TruncSeries:
+    """Compose a polynomial in (x, y, z), in integer form, with the curve."""
+    return next(evaluate_polys([poly], *on_series(*c.components)))
 
 
 def _monomials_within(orders: Sequence[int | None], bound: int) -> list[Mono]:
@@ -210,7 +211,8 @@ def semigroup(c: CurveGerm, bound: int = DEFAULT_SEMIGROUP_BOUND) -> Semigroup:
     while n >= 1 and n in pivots:
         conductor = n
         n -= 1
-    witnesses = {e: {m: Fraction(x, den) for m, x in wit.items()}
+    # a row's content was divided out of its series and witness together
+    witnesses = {e: poly_scaled_sum([(1, (wit, 1))], den)
                  for e, (_, wit, den) in pivots.items()}
     return Semigroup(elements, gaps, bound, conductor, witnesses, orders)
 
@@ -293,19 +295,29 @@ class PlanarityVerdict:
     kind: str
     degree_bound: int
     order_bound: int
-    witness: PolyTable | None = None
+    witness: IntPoly | None = None
     obstruction_order: int | None = None
 
 
+def _subtract_scaled(target: dict, factor: Fraction, source: Mapping) -> None:
+    """target -= factor * source, dropping entries that become zero."""
+    for key, coeff in source.items():
+        value = target.get(key, Fraction(0)) - factor * coeff
+        if value == 0:
+            target.pop(key, None)
+        else:
+            target[key] = value
+
+
 def _obstruction_or_witness(rows: Iterable[dict[int, Fraction]],
-                            monos: list[Mono]) -> int | PolyTable:
+                            monos: list[Mono]) -> int | IntPoly:
     """Add the equations ``rows`` (column -> coefficient, one column per
     monomial) one at a time to a fully reduced echelon basis.
 
     Returns the number of rows after which every solution f of rows . f = 0
     has zero linear part. When that never happens, returns the null vector of
-    the first free column whose linear part is nonzero; the reduced echelon
-    form is unique, so this vector is too.
+    the first free column whose linear part is nonzero, in integer form; the
+    reduced echelon form is unique, so this vector is too.
     """
     linear = [i for i, m in enumerate(monos) if sum(m) == 1]
     basis: dict[int, dict[int, Fraction]] = {}
@@ -313,14 +325,14 @@ def _obstruction_or_witness(rows: Iterable[dict[int, Fraction]],
         # basis rows vanish in each other's pivot columns, so one pass clears
         # every pivot column of the new row
         for pivot in [col for col in row if col in basis]:
-            subtract_scaled(row, row[pivot], basis[pivot])
+            _subtract_scaled(row, row[pivot], basis[pivot])
         if row:
             lead = min(row)
             scale = row[lead]
             row = {col: coeff / scale for col, coeff in row.items()}
             for other in basis.values():
                 if lead in other:
-                    subtract_scaled(other, other[lead], row)
+                    _subtract_scaled(other, other[lead], row)
             basis[lead] = row
         if all(len(basis.get(col, ())) == 1 for col in linear):
             return count
@@ -333,7 +345,7 @@ def _obstruction_or_witness(rows: Iterable[dict[int, Fraction]],
             if value is not None:
                 vec[pivot] = -value
         if any(col in vec for col in linear):
-            return {monos[col]: value for col, value in vec.items()}
+            return integer_poly({monos[col]: value for col, value in vec.items()})
     raise AssertionError("every linear column is free or shares its row "
                          "with a free column")
 

@@ -103,20 +103,6 @@ def poly_scaled_sum(terms: Iterable[tuple[int, IntPoly]], den: int) -> IntPoly:
     return _canonical(acc, common * den)
 
 
-def subtract_scaled(target: dict, factor: Fraction, source: Mapping) -> None:
-    """target -= factor * source on ``Fraction`` tables, dropping entries
-    that become zero.
-
-    The sparse accumulate of the elimination rows of planarity.
-    """
-    for key, coeff in source.items():
-        value = target.get(key, Fraction(0)) - factor * coeff
-        if value == 0:
-            target.pop(key, None)
-        else:
-            target[key] = value
-
-
 def monomials(degree: int) -> list[Mono]:
     """Exponent triples of total degree 1..``degree``, in lexicographic order."""
     return [(i, j, k)
@@ -366,14 +352,14 @@ def jet_from_obj(obj: Mapping[str, Mapping[str, str]] | Mapping[str, object]) ->
     return PolyJet3(comps, degree)
 
 
-def poly_to_obj(poly: Mapping[Mono, Fraction]) -> dict:
+def poly_to_obj(poly: IntPoly) -> dict:
     """JSON form of a polynomial: {"i,j,k": "p/q"} in sorted monomial order."""
-    return {f"{i},{j},{k}": format_rational(c)
-            for (i, j, k), c in sorted(poly.items())}
+    return {f"{i},{j},{k}": format_rational(Fraction(x, poly[1]))
+            for (i, j, k), x in sorted(poly[0].items())}
 
 
 def jet_to_obj(jet: PolyJet3) -> dict:
     out: dict = {"degree": jet.degree}
-    for name, comp in zip(("phi1", "phi2", "phi3"), jet.components):
+    for name, comp in zip(("phi1", "phi2", "phi3"), jet.polys):
         out[name] = poly_to_obj(comp)
     return out

@@ -19,8 +19,8 @@ from .errors import DomainError, MTError
 from .invariants import (DEFAULT_PLANARITY_ORDER, DEFAULT_SEMIGROUP_BOUND,
                          Semigroup, multiplicity, planarity, semigroup,
                          well_parameterized)
-from .jets import (IntPoly, PolyJet3, evaluate_polys, integer_poly,
-                   jet_from_polys, on_polys, on_series, poly_scaled_sum)
+from .jets import (IntPoly, PolyJet3, evaluate_polys, jet_from_polys,
+                   on_polys, on_series, poly_scaled_sum)
 from .series import TruncSeries
 from .tower import rvt_code, word_str
 
@@ -279,17 +279,16 @@ def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
             cur = b.current
             # the semigroup itself is invariant under these moves; only the
             # witnesses can go stale as the curve changes
-            poly = integer_poly(witness)
-            composed = _value(cur, poly, b.powers)
+            composed = _value(cur, witness, b.powers)
             if composed.order() != d:
                 current_sg = semigroup(cur, bound)
-                poly = integer_poly(current_sg.witness_for(d))
-                composed = _value(cur, poly, b.powers)
+                witness = current_sg.witness_for(d)
+                composed = _value(cur, witness, b.powers)
                 if composed.order() != d:
                     raise AssertionError(f"fresh witness for {d} has the wrong order")
             scale = cur.components[idx].coefficient(d) / composed.coefficient(d)
             try:
-                jet = _removal_jet(idx, poly, scale)
+                jet = _removal_jet(idx, witness, scale)
             except DomainError:
                 left.append((idx, d, "its removal step would be singular"))
                 continue
@@ -478,6 +477,8 @@ def equivalence_search(c1: CurveGerm, c2: CurveGerm,
     The certificate pair (phi, tau) is verified by substitution before it is
     returned: phi o c1 o tau agrees with c2 through the reported order.
     """
+    if bound < 1:
+        raise DomainError("semigroup bound must be positive")
     for c in (c1, c2):
         if not well_parameterized(c):
             raise DomainError("equivalence search needs well-parameterized curves")

@@ -423,6 +423,25 @@ def test_planarity_bounds_below_one_are_domain_errors(capsys, cusp_file, argv):
     _assert_domain_error(capsys, argv + ["--curve", cusp_file])
 
 
+@pytest.mark.parametrize("bound", ["0", "-5"])
+@pytest.mark.parametrize("pair", ["equal", "multiplicities", "semigroups"])
+def test_equiv_bound_below_one_is_refused_first(capsys, tmp_path, pair, bound):
+    # without the check up front these pairs gave "equivalent", "separated"
+    # and the error, as the first decision each reaches came before the
+    # semigroup or inside it
+    if pair == "semigroups":
+        left, right = GOLDEN / "c16.json", GOLDEN / "m16.json"
+    else:
+        left, right = tmp_path / "a.json", tmp_path / "b.json"
+        other = (2, 3) if pair == "equal" else (3, 5)
+        left.write_text(dumps(curve_to_obj(monomial_curve(2, 3, None, trunc=16))))
+        right.write_text(dumps(curve_to_obj(monomial_curve(*other, None, trunc=16))))
+    assert main(["--bound", bound, "equiv", "--left", str(left),
+                 "--right", str(right)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": {
+        "code": "domain-error", "message": "semigroup bound must be positive"}}
+
+
 def test_malformed_certificate_is_a_domain_error():
     good = certificate_to_obj(equivalence_search(
         monomial_curve(2, 3, None, trunc=16),

@@ -19,7 +19,7 @@ from mtower.errors import DomainError, InsufficientTruncation
 from mtower.invariants import (_cleared, _monomials_within, arnold_symbol,
                                multiplicity, planarity, poly_on_curve,
                                semigroup, well_parameterized)
-from mtower.jets import PolyJet3
+from mtower.jets import PolyJet3, integer_poly
 from mtower.series import TruncSeries
 
 F = Fraction
@@ -166,7 +166,7 @@ def fraction_semigroup(c, bound):
     usable = tuple(o if o is not None and o <= bound else None
                    for o in (s.order() for s in c.components))
     low = c.restrict(bound)
-    rows = [(poly_on_curve({m: 1}, low).coeffs, {m: F(1)})
+    rows = [(poly_on_curve(({m: 1}, 1), low).coeffs, {m: F(1)})
             for m in _monomials_within(usable, bound)]
     rows.sort(key=lambda r: min(r[0]) if r[0] else bound + 1)
     pivots = {}
@@ -230,8 +230,9 @@ def test_semigroup_matches_fraction_elimination(c, bound):
     assert s.elements == elements
     assert s.gaps == gaps
     assert s.conductor == conductor
-    assert s.witnesses == witnesses
-    assert all(type(q) is F for w in s.witnesses.values() for q in w.values())
+    assert s.witnesses == {e: integer_poly(w) for e, w in witnesses.items()}
+    assert all(type(x) is int for num, _ in s.witnesses.values()
+               for x in num.values())
 
 
 # -- Arnol'd symbol ---------------------------------------------------------------
@@ -259,15 +260,15 @@ def test_symbol_detection_failure():
 def test_planar_witness_for_plane_curve():
     verdict = planarity(monomial_curve(3, 5, None, trunc=48))
     assert verdict.kind == "planar-witness"
-    assert verdict.witness == {(0, 0, 1): 1}
+    assert verdict.witness == integer_poly({(0, 0, 1): 1})
 
 
 def test_planar_witness_on_parabolic_surface():
     verdict = planarity(monomial_curve(2, 3, 4, trunc=48))
     assert verdict.kind == "planar-witness"
-    w = dict(verdict.witness)
+    w = verdict.witness
     # z - x^2 vanishes identically along (t^2, t^3, t^4)
-    assert w.get((0, 0, 1)) is not None
+    assert w[0].get((0, 0, 1)) is not None
     composed = poly_on_curve(w, monomial_curve(2, 3, 4, trunc=48))
     assert composed.is_zero()
 
@@ -366,5 +367,5 @@ def test_planarity_matches_sympy_elimination():
             assert verdict.obstruction_order == expected
         else:
             assert verdict.kind == "planar-witness"
-            assert verdict.witness == expected
+            assert verdict.witness == integer_poly(expected)
     assert kinds == {"obstructed", "planar-witness"}

@@ -237,12 +237,11 @@ def restarting_kill(c: CurveGerm, s) -> StepResult:
             break
         if pick is None:
             break
-        d, idx, witness = pick
-        poly = integer_poly(witness)
+        d, idx, poly = pick
         composed = _value(cur, poly, b.powers)
         if composed.order() != d:
             current_sg = semigroup(cur, bound)
-            poly = integer_poly(current_sg.witness_for(d))
+            poly = current_sg.witness_for(d)
             composed = _value(cur, poly, b.powers)
             if composed.order() != d:
                 raise AssertionError(f"fresh witness for {d} has the wrong order")

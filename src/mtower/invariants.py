@@ -107,9 +107,12 @@ def _order_decomposition(target: int,
     return reachable.get(target)
 
 
-def poly_on_curve(poly: IntPoly, c: CurveGerm) -> TruncSeries:
-    """Compose a polynomial in (x, y, z), in integer form, with the curve."""
-    return next(evaluate_polys([poly], *on_series(*c.components)))
+def poly_on_curve(poly: IntPoly, c: CurveGerm,
+                  powers: list[list[TruncSeries]] | None = None) -> TruncSeries:
+    """Compose a polynomial in (x, y, z), in integer form, with the curve;
+    ``powers`` keeps the powers of its components as in
+    :func:`jets.evaluate_polys`."""
+    return next(evaluate_polys([poly], *on_series(*c.components), powers=powers))
 
 
 def _monomials_within(orders: Sequence[int | None], bound: int) -> list[Mono]:

@@ -172,13 +172,6 @@ def on_series(sx: TruncSeries, sy: TruncSeries, sz: TruncSeries) -> tuple:
             lambda terms, den: linear_combination(terms, den, trunc))
 
 
-def on_polys(comps: Sequence[IntPoly], degree: int) -> tuple:
-    """Arguments of :func:`evaluate_polys` for substituting three polynomials,
-    truncated at total degree ``degree``."""
-    return (tuple(_truncated(comp, degree) for comp in comps), ({_ZERO: 1}, 1),
-            lambda a, b: _poly_mul(a, b, degree), poly_scaled_sum)
-
-
 def jet_from_polys(comps: Sequence[IntPoly], degree: int) -> "PolyJet3":
     """The jet with canonical integer components ``comps``, none above
     ``degree``; they are shared, not copied or checked."""
@@ -274,8 +267,11 @@ class PolyJet3:
 
     # -- operations ---------------------------------------------------------
 
-    def compose(self, inner: "PolyJet3", degree: int | None = None) -> "PolyJet3":
-        """self after inner, truncated at total degree ``degree``."""
+    def compose(self, inner: "PolyJet3", degree: int | None = None,
+                powers: list[list[IntPoly]] | None = None) -> "PolyJet3":
+        """self after inner, truncated at total degree ``degree``; ``powers``
+        keeps the powers of inner's components as in :func:`evaluate_polys`,
+        for one degree."""
         if not (self._fixes_origin() and inner._fixes_origin()):
             raise DomainError("jet composition requires both jets to fix the origin")
         deg = degree if degree is not None else min(self._degree, inner._degree)
@@ -283,13 +279,22 @@ class PolyJet3:
             raise DomainError("jet degree must be at least 1")
         # monomials above the degree only reach degrees above it
         outer = (_truncated(comp, deg) for comp in self._comps)
-        return jet_from_polys(
-            evaluate_polys(outer, *on_polys(inner._comps, deg)), deg)
+        images = tuple(_truncated(comp, deg) for comp in inner._comps)
+        return jet_from_polys(evaluate_polys(
+            outer, images, ({_ZERO: 1}, 1), lambda a, b: _poly_mul(a, b, deg),
+            poly_scaled_sum, powers), deg)
 
-    def substitute(self, sx: TruncSeries, sy: TruncSeries,
-                   sz: TruncSeries) -> tuple[TruncSeries, TruncSeries, TruncSeries]:
-        """Evaluate the jet on a triple of series vanishing at 0."""
-        x, y, z = evaluate_polys(self._comps, *on_series(sx, sy, sz))
+    def substitute(self, sx: TruncSeries, sy: TruncSeries, sz: TruncSeries,
+                   powers: list[list[TruncSeries]] | None = None
+                   ) -> tuple[TruncSeries, TruncSeries, TruncSeries]:
+        """Evaluate the jet on a triple of series vanishing at 0; ``powers``
+        keeps the powers of the series as in :func:`evaluate_polys`, for one
+        truncation."""
+        # every series vanishes at 0, so a monomial of total degree above
+        # their common truncation only reaches orders above it
+        trunc = min(sx.trunc, sy.trunc, sz.trunc)
+        comps = (_truncated(comp, trunc) for comp in self._comps)
+        x, y, z = evaluate_polys(comps, *on_series(sx, sy, sz), powers=powers)
         return x, y, z
 
     def inverse(self, degree: int | None = None) -> "PolyJet3":
@@ -319,12 +324,11 @@ class PolyJet3:
              m[0][1] * m[2][0] - m[0][0] * m[2][1],
              m[0][0] * m[1][1] - m[0][1] * m[1][0]],
         ]
-        psi = PolyJet3.from_linear([[v / det for v in row] for row in adj], deg)
-        linv = psi._comps
+        linv = psi = PolyJet3.from_linear([[v / det for v in row] for row in adj], deg)
         for k in range(2, deg + 1):
             delta = [poly_scaled_sum([(1, comp), (-1, ({axis: 1}, 1))], 1)
                      for comp, axis in zip(self.compose(psi, k)._comps, _AXES)]
-            corr = evaluate_polys(linv, *on_polys(delta, k))
+            corr = linv.compose(jet_from_polys(delta, k), k)._comps
             psi = jet_from_polys([poly_scaled_sum([(1, p), (-1, c)], 1)
                                   for p, c in zip(psi._comps, corr)], k)
         return psi

@@ -17,10 +17,9 @@ from .curves import CurveGerm
 from .diffeo import DiffeoJet
 from .errors import DomainError, MTError
 from .invariants import (DEFAULT_PLANARITY_ORDER, DEFAULT_SEMIGROUP_BOUND,
-                         Semigroup, multiplicity, planarity, semigroup,
-                         well_parameterized)
-from .jets import (IntPoly, PolyJet3, evaluate_polys, jet_from_polys,
-                   on_polys, on_series, poly_scaled_sum)
+                         Semigroup, multiplicity, planarity, poly_on_curve,
+                         semigroup, well_parameterized)
+from .jets import IntPoly, PolyJet3, jet_from_polys, poly_scaled_sum
 from .series import TruncSeries
 from .tower import rvt_code, word_str
 
@@ -74,13 +73,11 @@ def _jet_of(step: Step) -> DiffeoJet:
 def apply_step(c: CurveGerm, step: Step,
                powers: list[list] | None = None) -> CurveGerm:
     """``step`` applied to ``c``. A loop that keeps ``powers`` (see
-    :func:`jets.evaluate_polys`) shares the axis powers of the components
-    its jet steps leave in place."""
+    :meth:`CurveGerm.map_jet`) shares the axis powers of the components its
+    jet steps leave in place."""
     if isinstance(step, ReparamStep):
         return c.reparametrize(step.tau)
-    polys = _jet_of(step).jet.polys
-    return CurveGerm(*evaluate_polys(polys, *on_series(*c.components),
-                                     powers=powers))
+    return c.map_jet(_jet_of(step).jet, powers)
 
 
 @dataclass(frozen=True)
@@ -124,11 +121,10 @@ class _Builder:
         self.entries: list[TraceEntry] = []
         self.powers: list[list] = [[], [], []]
 
-    def push(self, step: Step, after: CurveGerm | None = None) -> CurveGerm:
-        """Record ``step``; ``after`` is its result when the caller has it."""
+    def push(self, step: Step) -> CurveGerm:
+        """Apply ``step`` to the current curve and record it."""
         before = self.current
-        if after is None:
-            after = apply_step(before, step, self.powers)
+        after = apply_step(before, step, self.powers)
         self.entries.append(TraceEntry(step, before, after))
         self.current = after
         return after
@@ -235,21 +231,6 @@ def _removal_jet(component: int, witness: IntPoly, scale: Fraction) -> DiffeoJet
     return DiffeoJet(jet_from_polys(polys, degree))
 
 
-def _value(c: CurveGerm, poly: IntPoly, powers: list[list]) -> TruncSeries:
-    """poly(c), known through the truncation of the curve."""
-    return next(evaluate_polys([poly], *on_series(*c.components),
-                               powers=powers))
-
-
-def _removed(c: CurveGerm, i: int, scale: Fraction,
-             value: TruncSeries) -> CurveGerm:
-    """The step x_i -> x_i - scale*w applied to ``c``, given value = w(c):
-    what :func:`apply_step` gives for the removal jet."""
-    comps = [s.restrict(c.trunc) for s in c.components]
-    comps[i] = c.components[i] - value.scale(scale)
-    return CurveGerm(*comps)
-
-
 def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
     """Remove component terms whose exponents the semigroup certifies.
 
@@ -279,11 +260,11 @@ def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
             cur = b.current
             # the semigroup itself is invariant under these moves; only the
             # witnesses can go stale as the curve changes
-            composed = _value(cur, witness, b.powers)
+            composed = poly_on_curve(witness, cur, b.powers)
             if composed.order() != d:
                 current_sg = semigroup(cur, bound)
                 witness = current_sg.witness_for(d)
-                composed = _value(cur, witness, b.powers)
+                composed = poly_on_curve(witness, cur, b.powers)
                 if composed.order() != d:
                     raise AssertionError(f"fresh witness for {d} has the wrong order")
             scale = cur.components[idx].coefficient(d) / composed.coefficient(d)
@@ -292,7 +273,7 @@ def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
             except DomainError:
                 left.append((idx, d, "its removal step would be singular"))
                 continue
-            b.push(JetStep(jet), _removed(cur, idx, scale, composed))
+            b.push(JetStep(jet))
             terms = [comp.numerators()[0] for comp in b.current.components]
     notes = tuple(f"left t^{d} in component {idx + 1} ({why})"
                   for idx, d, why in sorted(left))
@@ -458,10 +439,7 @@ def _compose_trace(trace: ReductionTrace, degree: int,
         if isinstance(step, ReparamStep):
             tau = tau.compose(step.tau)
         else:
-            polys = evaluate_polys(_jet_of(step).jet.polys,
-                                   *on_polys(phi.jet.polys, degree),
-                                   powers=powers)
-            phi = DiffeoJet(jet_from_polys(polys, degree))
+            phi = DiffeoJet(_jet_of(step).jet.compose(phi.jet, degree, powers))
     return phi, tau
 
 

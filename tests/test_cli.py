@@ -208,6 +208,39 @@ def test_apply_verb(run, tmp_path):
     assert payload["point"]["coords"] == ["0", "0", "0", "0", "0", "2", "0"]
 
 
+HUGE = 10 ** 9
+
+
+@pytest.mark.time_limit(30)
+def test_apply_skips_a_monomial_past_the_truncation(run, tmp_path):
+    phi = json.loads((GOLDEN / "phi.json").read_text())
+    code, want = run("apply", "--diffeo", str(GOLDEN / "phi.json"),
+                     "--point", str(GOLDEN / "p3.json"))
+    assert code == 0
+    phi["degree"] = HUGE
+    phi["phi1"][f"{HUGE},0,0"] = "1"
+    path = tmp_path / "phi.json"
+    path.write_text(dumps(phi))
+    assert run("apply", "--diffeo", str(path),
+               "--point", str(GOLDEN / "p3.json")) == (0, want)
+
+
+@pytest.mark.time_limit(30)
+def test_replay_skips_a_monomial_past_the_truncation(run, tmp_path):
+    trace = json.loads((GOLDEN / "reduce.out").read_text())["trace"]
+    curve = str(GOLDEN / "c24.json")
+    path = tmp_path / "trace.json"
+    path.write_text(dumps(trace))
+    code, want = run("replay", "--trace", str(path), "--curve", curve)
+    assert code == 0 and json.loads(want)["verified"] is True
+    phi = trace["steps"][1]["phi"]
+    assert trace["steps"][1]["kind"] == "coordinate-change"
+    phi["degree"] = HUGE
+    phi["phi1"][f"{HUGE},0,0"] = "1"
+    path.write_text(dumps(trace))
+    assert run("replay", "--trace", str(path), "--curve", curve) == (0, want)
+
+
 def test_domain_error_exit_code(run, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(dumps({"trunc": 16, "x": {"1": "0.5"}, "y": {}, "z": {}}))

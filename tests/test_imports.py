@@ -1,0 +1,45 @@
+"""Every name a module of the package imports is used there or exported.
+
+Each ``src/mtower/*.py`` other than ``__init__.py`` is parsed with ``ast``;
+an imported name counts as used when it appears as a name in the module's
+code (a quoted annotation does not count) or is listed in its ``__all__``.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "mtower"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of each import statement's names."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    kept = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    kept |= _exported(tree)
+    unused = [f"{name} (line {line})"
+              for name, line in sorted(_imported(tree).items()) if name not in kept]
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

@@ -11,12 +11,12 @@ from mtower.curves import CurveGerm, curve_to_obj, monomial_curve
 from mtower.diffeo import DiffeoJet
 from mtower.errors import DomainError
 from mtower.formats import dumps, trace_to_obj
-from mtower.invariants import multiplicity, semigroup, well_parameterized
+from mtower.invariants import (multiplicity, poly_on_curve, semigroup,
+                               well_parameterized)
 from mtower.jets import PolyJet3, integer_poly
 from mtower.normalize import (JetStep, ReductionTrace, ReparamStep, ScaleStep,
                               StepResult, TraceEntry, _Builder, _compose_trace,
-                              _removal_jet, _removed, _value,
-                              apply_certificate, apply_step,
+                              _removal_jet, apply_certificate, apply_step,
                               equivalence_search, kill_semigroup_terms,
                               monomialize_first, reduce_catalog,
                               scale_normalize, zariski_step)
@@ -238,11 +238,11 @@ def restarting_kill(c: CurveGerm, s) -> StepResult:
         if pick is None:
             break
         d, idx, poly = pick
-        composed = _value(cur, poly, b.powers)
+        composed = poly_on_curve(poly, cur, b.powers)
         if composed.order() != d:
             current_sg = semigroup(cur, bound)
             poly = current_sg.witness_for(d)
-            composed = _value(cur, poly, b.powers)
+            composed = poly_on_curve(poly, cur, b.powers)
             if composed.order() != d:
                 raise AssertionError(f"fresh witness for {d} has the wrong order")
         scale = cur.components[idx].coefficient(d) / composed.coefficient(d)
@@ -250,7 +250,7 @@ def restarting_kill(c: CurveGerm, s) -> StepResult:
             jet = _removal_jet(idx, poly, scale)
         except DomainError:
             assume(False)
-        b.push(JetStep(jet), _removed(cur, idx, scale, composed))
+        b.push(JetStep(jet))
     notes = tuple(f"left t^{d} in component {idx + 1} (no certificate up to "
                   f"bound {bound})" for idx, d in sorted(leftovers))
     return StepResult(b.current, b.trace(), notes)
@@ -455,22 +455,24 @@ trace_steps = st.one_of(removals.map(lambda r: removal_step(*r)), reparams,
                         scalings, shears).filter(lambda step: step is not None)
 
 
-def naive_map(jet: PolyJet3, c: CurveGerm) -> CurveGerm:
-    """jet o c by series products and sums, monomial by monomial, without
-    evaluate_polys."""
+def naive_value(table, c: CurveGerm) -> TruncSeries:
+    """The polynomial ``table`` at c by series products and sums, monomial
+    by monomial, without evaluate_polys."""
     trunc = c.trunc
     comps = [s.restrict(trunc) for s in c.components]
-    out = []
-    for table in jet.components:
-        acc = TruncSeries({}, trunc)
-        for mono, coeff in table.items():
-            term = TruncSeries({0: 1}, trunc)
-            for s, n in zip(comps, mono):
-                for _ in range(n):
-                    term = (term * s).restrict(trunc)
-            acc = acc + term.scale(coeff)
-        out.append(acc)
-    return CurveGerm(*out)
+    acc = TruncSeries({}, trunc)
+    for mono, coeff in table.items():
+        term = TruncSeries({0: 1}, trunc)
+        for s, n in zip(comps, mono):
+            for _ in range(n):
+                term = (term * s).restrict(trunc)
+        acc = acc + term.scale(coeff)
+    return acc
+
+
+def naive_map(jet: PolyJet3, c: CurveGerm) -> CurveGerm:
+    """jet o c through :func:`naive_value`."""
+    return CurveGerm(*(naive_value(table, c) for table in jet.components))
 
 
 def naive_compose(outer: PolyJet3, inner: PolyJet3, degree: int) -> PolyJet3:
@@ -513,9 +515,10 @@ def test_steps_sharing_a_power_table_match_each_step_alone(c, sequence):
             step = removal_step(component, witness, scale)
             if step is None:
                 continue
-            # term removal builds its after-curve from the value w(c)
-            value = _value(cur, integer_poly(witness), powers)
-            removed = _removed(cur, component, scale, value)
+            # the removal x_i -> x_i - s*w changes component i alone
+            comps = [s.restrict(cur.trunc) for s in cur.components]
+            comps[component] -= naive_value(witness, cur).scale(scale)
+            removed = CurveGerm(*comps)
         if isinstance(step, ReparamStep):
             want = cur.reparametrize(step.tau)
         else:
@@ -547,3 +550,37 @@ def test_compose_trace_matches_left_fold(steps, degree, trunc):
             want_phi = composed
     assert phi == want_phi
     assert tau == want_tau
+
+
+# -- every jet step goes through the jet API ---------------------------------------
+
+def _calls(monkeypatch, cls, name):
+    """Wrap the method ``cls.name``; the returned list collects the receiver
+    and first argument of each call."""
+    original = getattr(cls, name)
+    calls = []
+
+    def wrapper(self, arg, *args, **kwargs):
+        calls.append((self, arg))
+        return original(self, arg, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, wrapper)
+    return calls
+
+
+def test_jet_steps_go_through_map_jet_and_compose(monkeypatch):
+    c = curve({3: 2, 4: 1}, {5: 1, 6: 1}, {7: 3}, trunc=24)
+    mapped = _calls(monkeypatch, CurveGerm, "map_jet")
+    result = reduce_catalog(c)
+    assert result.status == "reduced"
+    kinds = {type(step) for step in result.trace.steps}
+    assert kinds == {ReparamStep, JetStep, ScaleStep}
+    jets = [step.phi.jet for step in result.trace.steps
+            if not isinstance(step, ReparamStep)]
+    assert [jet for _, jet in mapped] == jets  # _Builder.push
+    mapped.clear()
+    assert result.trace.replay(c) == result.curve
+    assert [jet for _, jet in mapped] == jets
+    composed = _calls(monkeypatch, PolyJet3, "compose")
+    _compose_trace(result.trace, 8, c.trunc)
+    assert [outer for outer, _ in composed] == jets

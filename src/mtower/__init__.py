@@ -14,9 +14,10 @@ from .errors import DomainError, InsufficientTruncation, MTError
 from .invariants import (ArnoldSymbol, Semigroup, arnold_symbol, multiplicity,
                          planarity, semigroup, well_parameterized)
 from .jets import PolyJet3
-from .normalize import (Certificate, ReductionTrace, equivalence_search,
-                        kill_semigroup_terms, monomialize_first,
-                        reduce_catalog, scale_normalize, zariski_step)
+from .normalize import (Certificate, Reduction, ReductionTrace,
+                        equivalence_search, kill_semigroup_terms,
+                        monomialize_first, reduce_catalog, scale_normalize,
+                        zariski_step)
 from .series import DEFAULT_TRUNC, TruncSeries
 from .tower import (CriticalHyperplane, TowerPoint, classify_direction,
                     make_point, point_above, project_point, prolong_curve,
@@ -31,10 +32,10 @@ __all__ = [
     "isotropy_check", "prolong_apply", "taylor_constraints", "DomainError",
     "InsufficientTruncation", "MTError", "ArnoldSymbol", "Semigroup",
     "arnold_symbol", "multiplicity", "planarity", "semigroup",
-    "well_parameterized", "PolyJet3", "Certificate", "ReductionTrace",
-    "equivalence_search", "kill_semigroup_terms", "monomialize_first",
-    "reduce_catalog", "scale_normalize", "zariski_step", "DEFAULT_TRUNC",
-    "TruncSeries", "CriticalHyperplane", "TowerPoint", "classify_direction",
+    "well_parameterized", "PolyJet3", "Certificate", "Reduction",
+    "ReductionTrace", "equivalence_search", "kill_semigroup_terms",
+    "monomialize_first", "reduce_catalog", "scale_normalize", "zariski_step",
+    "DEFAULT_TRUNC", "TruncSeries", "CriticalHyperplane", "TowerPoint", "classify_direction",
     "make_point", "point_above", "project_point", "prolong_curve",
     "prolong_hyperplane", "realize_point", "rvt_code", "word_str",
     "class_successors", "enumerate_classes", "orbit_census",

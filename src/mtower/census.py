@@ -81,7 +81,7 @@ def representatives(code: str, trunc: int = DEFAULT_TRUNC) -> list[CurveGerm]:
     if base in NORMAL_FORMS:
         return normal_form_curves(base, trunc)
     if code == "RVVV":
-        return [realize_point(q, trunc) for q in rvvv_points()]
+        return [realize_point(q, trunc) for q in rvvv_points(trunc)]
     exponents = a2k_exponents(code)
     if exponents is not None:
         return [monomial_curve(*exponents, trunc=trunc)]

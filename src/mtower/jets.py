@@ -246,9 +246,7 @@ class PolyJet3:
 
     def linear_det(self) -> Fraction:
         m = self.linear_part()
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        return sum(m[0][j] * _cofactor(m, 0, j) for j in range(3))
 
     def _fixes_origin(self) -> bool:
         return all(_ZERO not in num for num, _ in self._comps)
@@ -306,24 +304,15 @@ class PolyJet3:
         psi exact through degree k. Requires an invertible linear part and
         zero constant term.
         """
-        det = self.linear_det()
+        m = self.linear_part()
+        # the adjugate, and the determinant expanded along the first row
+        adj = [[_cofactor(m, i, j) for i in range(3)] for j in range(3)]
+        det = sum(m[0][j] * adj[j][0] for j in range(3))
         if det == 0:
             raise DomainError("jet has singular linear part; no inverse")
         if not self._fixes_origin():
             raise DomainError("jet inverse requires a jet fixing the origin")
         deg = degree if degree is not None else self._degree
-        m = self.linear_part()
-        adj = [
-            [m[1][1] * m[2][2] - m[1][2] * m[2][1],
-             m[0][2] * m[2][1] - m[0][1] * m[2][2],
-             m[0][1] * m[1][2] - m[0][2] * m[1][1]],
-            [m[1][2] * m[2][0] - m[1][0] * m[2][2],
-             m[0][0] * m[2][2] - m[0][2] * m[2][0],
-             m[0][2] * m[1][0] - m[0][0] * m[1][2]],
-            [m[1][0] * m[2][1] - m[1][1] * m[2][0],
-             m[0][1] * m[2][0] - m[0][0] * m[2][1],
-             m[0][0] * m[1][1] - m[0][1] * m[1][0]],
-        ]
         linv = psi = PolyJet3.from_linear([[v / det for v in row] for row in adj], deg)
         for k in range(2, deg + 1):
             delta = [poly_scaled_sum([(1, comp), (-1, ({axis: 1}, 1))], 1)
@@ -332,6 +321,14 @@ class PolyJet3:
             psi = jet_from_polys([poly_scaled_sum([(1, p), (-1, c)], 1)
                                   for p, c in zip(psi._comps, corr)], k)
         return psi
+
+
+def _cofactor(m: Sequence[Sequence[Fraction]], i: int, j: int) -> Fraction:
+    """The signed cofactor of entry (i, j) of a 3x3 matrix: with indices
+    taken cyclically, the 2x2 minor of the next two rows and columns carries
+    its sign already."""
+    r1, r2, c1, c2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
+    return m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1]
 
 
 def jet_from_obj(obj: Mapping[str, Mapping[str, str]] | Mapping[str, object]) -> PolyJet3:

@@ -103,67 +103,64 @@ class ReductionTrace:
         exactly up to the available truncation."""
         powers: list[list] = [[], [], []]
         cur = c
-        for entry in self.entries:
+        for number, entry in enumerate(self.entries, 1):
             if not cur.agrees_with(entry.before):
-                raise DomainError("trace replay diverged from its before-snapshot")
+                raise DomainError("trace replay diverged from its before-snapshot "
+                                  f"at step {number} ({entry.step.kind})")
             cur = apply_step(cur, entry.step, powers)
             if not cur.agrees_with(entry.after):
-                raise DomainError("trace replay diverged from its after-snapshot")
+                raise DomainError("trace replay diverged from its after-snapshot "
+                                  f"at step {number} ({entry.step.kind})")
         return cur
 
-    def extend(self, other: "ReductionTrace") -> "ReductionTrace":
-        return ReductionTrace(self.entries + other.entries)
 
+class Reduction:
+    """A curve under reduction: the current curve, the trace of the steps
+    that led to it, the notes on what was left undone, and one table of axis
+    powers (see :meth:`CurveGerm.map_jet`) that every step shares, so the
+    components a step leaves in place keep their powers. Each stage below
+    extends a reduction in place."""
 
-class _Builder:
     def __init__(self, start: CurveGerm):
-        self.current = start
+        self.curve = start
         self.entries: list[TraceEntry] = []
+        self.notes: list[str] = []
         self.powers: list[list] = [[], [], []]
 
-    def push(self, step: Step) -> CurveGerm:
+    def push(self, step: Step) -> None:
         """Apply ``step`` to the current curve and record it."""
-        before = self.current
-        after = apply_step(before, step, self.powers)
-        self.entries.append(TraceEntry(step, before, after))
-        self.current = after
-        return after
+        before = self.curve
+        self.curve = apply_step(before, step, self.powers)
+        self.entries.append(TraceEntry(step, before, self.curve))
 
+    @property
     def trace(self) -> ReductionTrace:
         return ReductionTrace(tuple(self.entries))
-
-
-@dataclass(frozen=True)
-class StepResult:
-    curve: CurveGerm
-    trace: ReductionTrace
-    notes: tuple[str, ...] = ()
 
 
 # -- individual reductions -----------------------------------------------------
 
 
-def monomialize_first(c: CurveGerm) -> StepResult:
+def monomialize_first(r: Reduction) -> None:
     """Make the first component exactly t^m up to truncation.
 
     A diagonal scaling normalizes the leading coefficient, then the
     reparametrization by the inverse of t times the m-th root of the unit
     factor removes every higher term of the component at once.
     """
-    if c.x.is_zero():
+    x = r.curve.x
+    if x.is_zero():
         raise DomainError("cannot monomialize a curve with zero first component")
-    b = _Builder(c)
-    m = c.x.order()
-    lead = c.x.coefficient(m)
+    m = x.order()
+    lead = x.coefficient(m)
     if lead != 1:
-        b.push(ScaleStep((1 / lead, Fraction(1), Fraction(1))))
-    unit = b.current.x.divide(TruncSeries.monomial(m, 1, b.current.x.trunc))
+        r.push(ScaleStep((1 / lead, Fraction(1), Fraction(1))))
+    unit = r.curve.x.shift(-m)
     if unit.terms() != [(0, Fraction(1))]:
         root = unit.unit_root(m)
         s = TruncSeries.monomial(1, 1, root.trunc + 1) * root
         tau = s.param_inverse()
-        b.push(ReparamStep(tau))
-    return StepResult(b.current, b.trace())
+        r.push(ReparamStep(tau))
 
 
 def _gap_exponents(y: TruncSeries, n: int, m: int) -> list[int]:
@@ -173,15 +170,17 @@ def _gap_exponents(y: TruncSeries, n: int, m: int) -> list[int]:
     return [d for d, _ in y.terms() if d > m and d not in members]
 
 
-def zariski_step(c: CurveGerm) -> StepResult:
+def zariski_step(r: Reduction) -> bool:
     """One elimination step on a planar short parameterization.
 
     For x = t^n, y = t^m + b t^nu + ... with nu the smallest exponent
     outside the semigroup generated by n and m, the change x' = x + a y^j
     (a = bn/m, nu + n = (j+1)m) followed by re-monomialization pushes all
-    gap terms of y past nu. Inapplicable inputs are returned untouched with
-    an explanatory note.
+    gap terms of y past nu. Returns whether the step was made: a curve
+    without gap terms is left as it is, and one where the step does not
+    apply is left with a note saying why.
     """
+    c = r.curve
     if not c.z.is_zero():
         raise DomainError("the short-parameterization step needs a planar curve (z = 0)")
     if c.x.is_zero() or c.y.is_zero():
@@ -195,26 +194,24 @@ def zariski_step(c: CurveGerm) -> StepResult:
         raise DomainError("expected ord(x) < ord(y) in the planar shape")
     gaps_present = _gap_exponents(c.y, n, m)
     if not gaps_present:
-        return StepResult(c, ReductionTrace(), ("no gap-exponent terms",))
+        return False
     nu = gaps_present[0]
     bcoef = c.y.coefficient(nu)
     if (nu + n) % m != 0 or (nu + n) // m < 2:
-        return StepResult(c, ReductionTrace(),
-                          (f"step not applicable: {nu}+{n} is outside the "
-                           f"semigroup generated by {n} and {m}",))
+        r.notes.append(f"step not applicable: {nu}+{n} is outside the "
+                       f"semigroup generated by {n} and {m}")
+        return False
     j = (nu + n) // m - 1
     a = bcoef * n / m
-    b = _Builder(c)
     change = DiffeoJet(PolyJet3(
         [{(1, 0, 0): 1, (0, j, 0): a}, {(0, 1, 0): 1}, {(0, 0, 1): 1}],
         max(j, 1)))
-    b.push(JetStep(change))
-    mono = monomialize_first(b.current)
-    trace = b.trace().extend(mono.trace)
-    new_gaps = _gap_exponents(mono.curve.y, n, m)
+    r.push(JetStep(change))
+    monomialize_first(r)
+    new_gaps = _gap_exponents(r.curve.y, n, m)
     if new_gaps and min(new_gaps) <= nu:
         raise AssertionError("short-parameterization step failed to advance")
-    return StepResult(mono.curve, trace)
+    return True
 
 
 _IDENTITY = PolyJet3.identity(1).polys
@@ -231,7 +228,7 @@ def _removal_jet(component: int, witness: IntPoly, scale: Fraction) -> DiffeoJet
     return DiffeoJet(jet_from_polys(polys, degree))
 
 
-def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
+def kill_semigroup_terms(r: Reduction, s: Semigroup) -> None:
     """Remove component terms whose exponents the semigroup certifies.
 
     One ascending pass over (order d, component x, y, z) visits each term
@@ -243,12 +240,11 @@ def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
     whose removal step would be singular, is left in place and reported.
     """
     bound = s.bound
-    b = _Builder(c)
     current_sg = s
-    terms = [comp.numerators()[0] for comp in c.components]
+    terms = [comp.numerators()[0] for comp in r.curve.components]
     leads = [min(t, default=None) for t in terms]
     left: list[tuple[int, int, str]] = []
-    for d in range(1, max(comp.trunc for comp in c.components) + 1):
+    for d in range(1, max(comp.trunc for comp in r.curve.components) + 1):
         for idx in range(3):
             if d not in terms[idx] or d == leads[idx]:
                 continue
@@ -257,14 +253,14 @@ def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
             except DomainError:
                 left.append((idx, d, f"no certificate up to bound {bound}"))
                 continue
-            cur = b.current
+            cur = r.curve
             # the semigroup itself is invariant under these moves; only the
             # witnesses can go stale as the curve changes
-            composed = poly_on_curve(witness, cur, b.powers)
+            composed = poly_on_curve(witness, cur, r.powers)
             if composed.order() != d:
                 current_sg = semigroup(cur, bound)
                 witness = current_sg.witness_for(d)
-                composed = poly_on_curve(witness, cur, b.powers)
+                composed = poly_on_curve(witness, cur, r.powers)
                 if composed.order() != d:
                     raise AssertionError(f"fresh witness for {d} has the wrong order")
             scale = cur.components[idx].coefficient(d) / composed.coefficient(d)
@@ -273,11 +269,10 @@ def kill_semigroup_terms(c: CurveGerm, s: Semigroup) -> StepResult:
             except DomainError:
                 left.append((idx, d, "its removal step would be singular"))
                 continue
-            b.push(JetStep(jet))
-            terms = [comp.numerators()[0] for comp in b.current.components]
-    notes = tuple(f"left t^{d} in component {idx + 1} ({why})"
-                  for idx, d, why in sorted(left))
-    return StepResult(b.current, b.trace(), notes)
+            r.push(JetStep(jet))
+            terms = [comp.numerators()[0] for comp in r.curve.components]
+    r.notes.extend(f"left t^{d} in component {idx + 1} ({why})"
+                   for idx, d, why in sorted(left))
 
 
 def _fraction_nth_root(q: Fraction, k: int) -> Fraction | None:
@@ -305,7 +300,7 @@ def _fraction_nth_root(q: Fraction, k: int) -> Fraction | None:
     return Fraction(num, den)
 
 
-def scale_normalize(c: CurveGerm) -> StepResult:
+def scale_normalize(r: Reduction) -> None:
     """Set leading coefficients to 1 by diagonal scaling, then normalize the
     square class of a two-term planar second component when possible.
 
@@ -313,14 +308,13 @@ def scale_normalize(c: CurveGerm) -> StepResult:
     need an irrational factor the coefficient keeps its square class and the
     term is left for the semigroup machinery to remove.
     """
-    b = _Builder(c)
     factors = []
-    for s in b.current.components:
+    for s in r.curve.components:
         o = s.order()
         factors.append(Fraction(1) if o is None else 1 / s.coefficient(o))
     if any(f != 1 for f in factors):
-        b.push(ScaleStep((factors[0], factors[1], factors[2])))
-    cur = b.current
+        r.push(ScaleStep((factors[0], factors[1], factors[2])))
+    cur = r.curve
     if cur.z.is_zero() and not cur.x.is_zero() and not cur.y.is_zero():
         n, m = cur.x.order(), cur.y.order()
         yterms = cur.y.terms()
@@ -330,9 +324,8 @@ def scale_normalize(c: CurveGerm) -> StepResult:
             if abs(beta) != 1:
                 lam = _fraction_nth_root(1 / abs(beta), p - m)
                 if lam is not None:
-                    b.push(ReparamStep(TruncSeries({1: lam}, cur.trunc)))
-                    b.push(ScaleStep((lam ** -n, lam ** -m, Fraction(1))))
-    return StepResult(b.current, b.trace())
+                    r.push(ReparamStep(TruncSeries({1: lam}, cur.trunc)))
+                    r.push(ScaleStep((lam ** -n, lam ** -m, Fraction(1))))
 
 
 # -- the catalog pipeline ----------------------------------------------------
@@ -348,30 +341,20 @@ class ReduceResult:
     notes: tuple[str, ...] = ()
 
 
-def _pipeline(c: CurveGerm, bound: int) -> tuple[CurveGerm, ReductionTrace, tuple[str, ...]]:
-    notes: list[str] = []
-    res = scale_normalize(c)
-    trace = res.trace
-    cur = res.curve
-    if not cur.x.is_zero():
-        res = monomialize_first(cur)
-        cur, trace = res.curve, trace.extend(res.trace)
-    if cur.z.is_zero() and not cur.x.is_zero() and not cur.y.is_zero():
-        while True:
-            res = zariski_step(cur)
-            cur, trace = res.curve, trace.extend(res.trace)
-            if res.notes:
-                if "not applicable" in res.notes[0]:
-                    notes.extend(res.notes)
-                break
+def _pipeline(c: CurveGerm, bound: int) -> Reduction:
+    r = Reduction(c)
+    scale_normalize(r)
+    if not r.curve.x.is_zero():
+        monomialize_first(r)
+    x, y, z = r.curve.components
+    if z.is_zero() and not x.is_zero() and not y.is_zero():
+        while zariski_step(r):
+            pass
+    cur = r.curve
     if not cur.is_constant() and well_parameterized(cur):
-        sg = semigroup(cur, min(bound, cur.trunc))
-        res = kill_semigroup_terms(cur, sg)
-        cur, trace = res.curve, trace.extend(res.trace)
-        notes.extend(res.notes)
-    res = scale_normalize(cur)
-    cur, trace = res.curve, trace.extend(res.trace)
-    return cur, trace, tuple(notes)
+        kill_semigroup_terms(r, semigroup(cur, min(bound, cur.trunc)))
+    scale_normalize(r)
+    return r
 
 
 def reduce_catalog(c: CurveGerm,
@@ -390,7 +373,8 @@ def reduce_catalog(c: CurveGerm,
                             notes=(f"no level-3 code: {exc}",))
     before_mult = multiplicity(c)
     before_sg = semigroup(c, min(bound, c.trunc)).elements
-    reduced, trace, notes = _pipeline(c, bound)
+    r = _pipeline(c, bound)
+    reduced, notes = r.curve, tuple(r.notes)
     after_bound = min(bound, reduced.trunc)
     if multiplicity(reduced) != before_mult or \
             semigroup(reduced, after_bound).elements != \
@@ -400,9 +384,9 @@ def reduce_catalog(c: CurveGerm,
         for exponents, candidate in zip(NORMAL_FORMS[code],
                                         normal_form_curves(code, reduced.trunc)):
             if reduced.agrees_with(candidate):
-                return ReduceResult("reduced", code, reduced, trace,
+                return ReduceResult("reduced", code, reduced, r.trace,
                                     normal_form=exponents, notes=notes)
-    return ReduceResult("outside-catalog", code, reduced, trace, notes=notes)
+    return ReduceResult("outside-catalog", code, reduced, r.trace, notes=notes)
 
 
 # -- equivalence search --------------------------------------------------------
@@ -468,13 +452,13 @@ def equivalence_search(c1: CurveGerm, c2: CurveGerm,
     sep = _separate(c1, c2, bound)
     if sep is not None:
         return EquivalenceResult("separated", separation=sep)
-    r1, t1, n1 = _pipeline(c1, bound)
-    r2, t2, n2 = _pipeline(c2, bound)
-    if r1.agrees_with(r2):
+    r1, r2 = _pipeline(c1, bound), _pipeline(c2, bound)
+    notes = tuple(r1.notes + r2.notes)
+    if r1.curve.agrees_with(r2.curve):
         target = min(c1.trunc, c2.trunc)
         degree = target // max(multiplicity(c1), 1) + 1
-        phi_a, tau_a = _compose_trace(t1, degree, c1.trunc)
-        phi_b, tau_b = _compose_trace(t2, degree, c2.trunc)
+        phi_a, tau_a = _compose_trace(r1.trace, degree, c1.trunc)
+        phi_b, tau_b = _compose_trace(r2.trace, degree, c2.trunc)
         phi = phi_b.inverse(degree).compose(phi_a, degree)
         tau = tau_a.compose(tau_b.param_inverse())
         moved = phi.apply_to_curve(c1).reparametrize(tau)
@@ -484,8 +468,8 @@ def equivalence_search(c1: CurveGerm, c2: CurveGerm,
         return EquivalenceResult(
             "equivalent",
             certificate=Certificate(phi, tau, through),
-            notes=n1 + n2)
-    return EquivalenceResult("unknown", notes=n1 + n2 + (
+            notes=notes)
+    return EquivalenceResult("unknown", notes=notes + (
         "normal forms differ but no separating invariant was found",))
 
 

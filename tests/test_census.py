@@ -2,6 +2,7 @@
 
 import pytest
 
+from mtower import census
 from mtower.census import (RVVV_SAMPLES, RVVV_SCALINGS, census_table,
                            class_successors, enumerate_classes, orbit_census,
                            representatives, rvvv_points, verify_rvvv_split)
@@ -85,6 +86,21 @@ def test_rvvv_representatives_realize_the_split_points():
     assert len(reps) == 2
     for rep in reps:
         assert word_str(rvt_code(rep, 4)) == "RVVV"
+
+
+def test_rvvv_representatives_build_their_points_at_the_given_trunc(monkeypatch):
+    original = census.rvv_point
+    truncs = []
+
+    def rvv_point(trunc):
+        truncs.append(trunc)
+        return original(trunc)
+
+    monkeypatch.setattr(census, "rvv_point", rvv_point)
+    reps = representatives("RVVV", 16)
+    assert truncs == [16]
+    assert [rep.trunc for rep in reps] == [16, 16]
+    assert all(word_str(rvt_code(rep, 4)) == "RVVV" for rep in reps)
 
 
 def test_representatives_rejects_unknown_code():

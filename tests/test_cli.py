@@ -274,7 +274,8 @@ def test_replay_rejects_a_tampered_elementary_step(capsys, tmp_path, tamper):
     captured = capsys.readouterr()
     assert json.loads(captured.out) == {"error": {
         "code": "domain-error",
-        "message": f"trace replay diverged from its {snapshot}-snapshot"}}
+        "message": f"trace replay diverged from its {snapshot}-snapshot "
+                   "at step 18 (coordinate-change)"}}
     assert "Traceback" not in captured.err
 
 

@@ -14,8 +14,8 @@ from mtower.formats import dumps, trace_to_obj
 from mtower.invariants import (multiplicity, poly_on_curve, semigroup,
                                well_parameterized)
 from mtower.jets import PolyJet3, integer_poly
-from mtower.normalize import (JetStep, ReductionTrace, ReparamStep, ScaleStep,
-                              StepResult, TraceEntry, _Builder, _compose_trace,
+from mtower.normalize import (JetStep, Reduction, ReductionTrace, ReparamStep,
+                              ScaleStep, TraceEntry, _compose_trace,
                               _removal_jet, apply_certificate, apply_step,
                               equivalence_search, kill_semigroup_terms,
                               monomialize_first, reduce_catalog,
@@ -30,11 +30,18 @@ def curve(xs, ys, zs, trunc=48):
                      TruncSeries(zs, trunc))
 
 
+def run(stage, c, *args) -> Reduction:
+    """A fresh reduction of ``c`` after ``stage``."""
+    r = Reduction(c)
+    stage(r, *args)
+    return r
+
+
 # -- monomialize ---------------------------------------------------------------
 
 def test_monomialize_case_one_curve():
     c = curve({3: 1, 4: F(2, 5)}, {5: 1}, {7: 1})
-    result = monomialize_first(c)
+    result = run(monomialize_first, c)
     out = result.curve
     assert out.x.terms() == [(3, F(1))]
     assert out.y.order() == 5 and out.y.coefficient(5) == 1
@@ -43,34 +50,35 @@ def test_monomialize_case_one_curve():
 
 def test_monomialize_two_tail_terms():
     c = curve({3: 1, 4: F(1, 2), 7: F(-3, 4)}, {5: 1, 7: F(1, 3)}, {})
-    out = monomialize_first(c).curve
+    out = run(monomialize_first, c).curve
     assert out.x.terms() == [(3, F(1))]
 
 
 def test_monomialize_scales_leading_coefficient():
     c = curve({2: 3}, {3: 5}, {})
-    result = monomialize_first(c)
+    result = run(monomialize_first, c)
     assert result.curve.x.terms() == [(2, F(1))]
     assert len(result.trace) == 1  # scaling only, no reparametrization needed
 
 
 def test_monomialize_already_pure_is_empty_trace():
     c = monomial_curve(3, 5, None)
-    result = monomialize_first(c)
+    result = run(monomialize_first, c)
     assert result.curve == c
     assert len(result.trace) == 0
 
 
 def test_monomialize_rejects_zero_x():
     with pytest.raises(DomainError):
-        monomialize_first(curve({}, {3: 1}, {}))
+        run(monomialize_first, curve({}, {3: 1}, {}))
 
 
 # -- zariski step -----------------------------------------------------------------
 
 def test_zariski_eliminates_t7():
     c = curve({3: 1}, {5: 1, 7: 1}, {})
-    result = zariski_step(c)
+    result = Reduction(c)
+    assert zariski_step(result) is True
     out = result.curve
     assert out.x.terms() == [(3, F(1))]
     assert out.y.coefficient(5) == 1
@@ -83,43 +91,56 @@ def test_zariski_eliminates_t7():
 
 def test_zariski_with_negative_coefficient():
     c = curve({3: 1}, {5: 1, 7: -1}, {})
-    out = zariski_step(c).curve
+    out = run(zariski_step, c).curve
     assert out.y.coefficient(7) == 0
 
 
-def test_zariski_no_gap_terms_is_reported():
+def test_zariski_without_gap_terms_records_nothing():
     c = curve({3: 1}, {5: 1, 8: 1}, {})
-    result = zariski_step(c)
-    assert result.curve == c
-    assert result.notes == ("no gap-exponent terms",)
+    r = Reduction(c)
+    assert zariski_step(r) is False
+    assert r.curve == c
+    assert len(r.trace) == 0
+    assert r.notes == []
+
+
+def test_zariski_not_applicable_is_noted():
+    # the first gap 7 of <4, 6> has 7 + 4 = 11, not a multiple of 6
+    c = curve({4: 1}, {6: 1, 7: 1}, {})
+    r = Reduction(c)
+    assert zariski_step(r) is False
+    assert r.curve == c
+    assert len(r.trace) == 0
+    assert r.notes == [
+        "step not applicable: 7+4 is outside the semigroup generated by 4 and 6"]
 
 
 def test_zariski_requires_planar_monic_shape():
     with pytest.raises(DomainError):
-        zariski_step(monomial_curve(3, 5, 7))
+        run(zariski_step, monomial_curve(3, 5, 7))
     with pytest.raises(DomainError):
-        zariski_step(curve({3: 2}, {5: 1, 7: 1}, {}))
+        run(zariski_step, curve({3: 2}, {5: 1, 7: 1}, {}))
 
 
 # -- semigroup-certified removal ----------------------------------------------------
 
 def test_kill_removes_x_tail_via_witness():
     c = curve({3: 1, 8: 1}, {5: 1}, {7: 1})
-    result = kill_semigroup_terms(c, semigroup(c, 24))
+    result = run(kill_semigroup_terms, c, semigroup(c, 24))
     assert result.curve.agrees_with(monomial_curve(3, 5, 7, trunc=result.curve.trunc))
     assert result.trace.replay(c).agrees_with(result.curve)
-    assert result.notes == ()
+    assert result.notes == []
 
 
 def test_kill_removes_z_tail():
     c = curve({3: 1}, {5: 1}, {7: 1, 9: 1})
-    result = kill_semigroup_terms(c, semigroup(c, 24))
+    result = run(kill_semigroup_terms, c, semigroup(c, 24))
     assert result.curve.agrees_with(monomial_curve(3, 5, 7, trunc=result.curve.trunc))
 
 
 def test_kill_leaves_clean_curve_alone():
     c = monomial_curve(3, 5, 7)
-    result = kill_semigroup_terms(c, semigroup(c, 24))
+    result = run(kill_semigroup_terms, c, semigroup(c, 24))
     assert result.curve == c
     assert len(result.trace) == 0
 
@@ -127,14 +148,14 @@ def test_kill_leaves_clean_curve_alone():
 def test_kill_reports_uncertified_exponent():
     # 7 is a gap of the semigroup of (t^3, t^5, 0); the t^7 term stays.
     c = curve({3: 1}, {5: 1, 7: 1}, {})
-    result = kill_semigroup_terms(c, semigroup(c, 24))
+    result = run(kill_semigroup_terms, c, semigroup(c, 24))
     assert result.curve.y.coefficient(7) == 1
     assert any("t^7" in note for note in result.notes)
 
 
 def test_kill_handles_terms_beyond_semigroup_bound():
     c = curve({3: 1, 30: 1}, {5: 1}, {7: 1})
-    result = kill_semigroup_terms(c, semigroup(c, 12))
+    result = run(kill_semigroup_terms, c, semigroup(c, 12))
     assert result.curve.x.terms() == [(3, F(1))]
 
 
@@ -142,14 +163,14 @@ def test_kill_leaves_uncertified_term_past_the_bound():
     # 27 is a gap of <5,8> beyond the bound; the term must survive with a
     # note instead of being removed on a false certificate.
     c = curve({5: 1}, {8: 1, 27: 1}, {})
-    result = kill_semigroup_terms(c, semigroup(c, 23))
+    result = run(kill_semigroup_terms, c, semigroup(c, 23))
     assert result.curve.y.coefficient(27) == 1
     assert any("t^27" in note for note in result.notes)
 
 
 def test_kill_removes_mixed_axis_term_past_the_bound():
     c = curve({5: 1}, {8: 1, 24: 1}, {})
-    result = kill_semigroup_terms(c, semigroup(c, 23))
+    result = run(kill_semigroup_terms, c, semigroup(c, 23))
     assert result.curve.y.coefficient(24) == 0
 
 
@@ -158,10 +179,10 @@ def test_kill_leaves_a_term_whose_removal_is_singular():
     # the witness of 5 is x^2 - z, and z -> z + (x^2 - z) has no linear part
     # in z; the term stays and the pass goes on to t^7 in y
     c = curve({2: 1}, {3: 1, 7: 1}, {4: 1, 5: 1}, trunc=16)
-    result = kill_semigroup_terms(c, semigroup(c, 16))
+    result = run(kill_semigroup_terms, c, semigroup(c, 16))
     assert result.curve.agrees_with(curve({2: 1}, {3: 1}, {4: 1, 5: 1}, trunc=16))
-    assert result.notes == (
-        "left t^5 in component 3 (its removal step would be singular)",)
+    assert result.notes == [
+        "left t^5 in component 3 (its removal step would be singular)"]
     assert result.trace.replay(c).agrees_with(result.curve)
 
 
@@ -211,17 +232,17 @@ def test_equiv_answers_on_a_singular_removal(capsys, tmp_path):
     assert note in payload["notes"]
 
 
-def restarting_kill(c: CurveGerm, s) -> StepResult:
+def restarting_kill(c: CurveGerm, s) -> Reduction:
     """The term removal that the ordered pass replaced: after every removal
     it rescans from the lowest term, skipping the terms it gave up on. Where
     a removal step would be singular that loop halved the step forever, so
     such an example is discarded."""
     bound = s.bound
-    b = _Builder(c)
+    r = Reduction(c)
     leftovers: set[tuple[int, int]] = set()
     current_sg = s
     while True:
-        cur = b.current
+        cur = r.curve
         pick = None
         candidates = sorted((d, idx) for idx, comp in enumerate(cur.components)
                             for d in sorted(comp.numerators()[0])[1:])
@@ -238,11 +259,11 @@ def restarting_kill(c: CurveGerm, s) -> StepResult:
         if pick is None:
             break
         d, idx, poly = pick
-        composed = poly_on_curve(poly, cur, b.powers)
+        composed = poly_on_curve(poly, cur, r.powers)
         if composed.order() != d:
             current_sg = semigroup(cur, bound)
             poly = current_sg.witness_for(d)
-            composed = poly_on_curve(poly, cur, b.powers)
+            composed = poly_on_curve(poly, cur, r.powers)
             if composed.order() != d:
                 raise AssertionError(f"fresh witness for {d} has the wrong order")
         scale = cur.components[idx].coefficient(d) / composed.coefficient(d)
@@ -250,10 +271,10 @@ def restarting_kill(c: CurveGerm, s) -> StepResult:
             jet = _removal_jet(idx, poly, scale)
         except DomainError:
             assume(False)
-        b.push(JetStep(jet))
-    notes = tuple(f"left t^{d} in component {idx + 1} (no certificate up to "
-                  f"bound {bound})" for idx, d in sorted(leftovers))
-    return StepResult(b.current, b.trace(), notes)
+        r.push(JetStep(jet))
+    r.notes.extend(f"left t^{d} in component {idx + 1} (no certificate up to "
+                   f"bound {bound})" for idx, d in sorted(leftovers))
+    return r
 
 
 @st.composite
@@ -274,7 +295,7 @@ def messy_curves(draw):
 def test_kill_matches_the_restarting_loop(c, bound):
     s = semigroup(c, min(bound, c.trunc))
     want = restarting_kill(c, s)
-    got = kill_semigroup_terms(c, s)
+    got = run(kill_semigroup_terms, c, s)
     assert got.curve == want.curve
     assert got.notes == want.notes
     assert dumps(trace_to_obj(got.trace)) == dumps(trace_to_obj(want.trace))
@@ -284,7 +305,7 @@ def test_kill_matches_the_restarting_loop(c, bound):
 
 def test_scale_normalizes_leading_coefficients():
     c = curve({3: 2}, {5: 5}, {})
-    out = scale_normalize(c).curve
+    out = run(scale_normalize, c).curve
     assert out.x.terms() == [(3, F(1))]
     assert out.y.terms() == [(5, F(1))]
 
@@ -292,26 +313,26 @@ def test_scale_normalizes_leading_coefficients():
 def test_scale_normalizes_square_class():
     # beta = 4/9 is a rational square: the t^7 coefficient becomes +1.
     c = curve({3: 1}, {5: 1, 7: F(4, 9)}, {})
-    out = scale_normalize(c).curve
+    out = run(scale_normalize, c).curve
     assert out.x.terms() == [(3, F(1))]
     assert out.y.coefficient(5) == 1 and out.y.coefficient(7) == 1
 
 
 def test_scale_keeps_sign_of_negative_square_class():
     c = curve({3: 1}, {5: 1, 7: F(-4, 9)}, {})
-    out = scale_normalize(c).curve
+    out = run(scale_normalize, c).curve
     assert out.y.coefficient(7) == -1
 
 
 def test_scale_leaves_non_square_class_alone():
     c = curve({3: 1}, {5: 1, 7: 2}, {})
-    out = scale_normalize(c).curve
+    out = run(scale_normalize, c).curve
     assert out.y.coefficient(7) == 2
 
 
 def test_scale_idempotent():
     c = monomial_curve(3, 5, 7)
-    result = scale_normalize(c)
+    result = run(scale_normalize, c)
     assert result.curve == c and len(result.trace) == 0
 
 
@@ -505,7 +526,7 @@ def naive_compose(outer: PolyJet3, inner: PolyJet3, degree: int) -> PolyJet3:
                                min_size=1, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_steps_sharing_a_power_table_match_each_step_alone(c, sequence):
-    # one power table for the whole sequence, as in replay and _Builder.push
+    # one power table for the whole sequence, as in replay and Reduction.push
     powers = [[], [], []]
     cur = c
     for step in sequence:
@@ -577,10 +598,31 @@ def test_jet_steps_go_through_map_jet_and_compose(monkeypatch):
     assert kinds == {ReparamStep, JetStep, ScaleStep}
     jets = [step.phi.jet for step in result.trace.steps
             if not isinstance(step, ReparamStep)]
-    assert [jet for _, jet in mapped] == jets  # _Builder.push
+    assert [jet for _, jet in mapped] == jets  # Reduction.push
     mapped.clear()
     assert result.trace.replay(c) == result.curve
     assert [jet for _, jet in mapped] == jets
     composed = _calls(monkeypatch, PolyJet3, "compose")
     _compose_trace(result.trace, 8, c.trunc)
     assert [outer for outer, _ in composed] == jets
+
+
+def test_every_stage_shares_one_power_table(monkeypatch):
+    # scale_normalize, monomialize_first and kill_semigroup_terms all make
+    # jet steps on this curve, and all of them on one Reduction
+    c = curve({3: 2, 4: 1}, {5: 1, 6: 1}, {7: 3}, trunc=24)
+    original = CurveGerm.map_jet
+    tables = []
+
+    def map_jet(self, jet, powers=None):
+        tables.append(powers)
+        return original(self, jet, powers)
+
+    monkeypatch.setattr(CurveGerm, "map_jet", map_jet)
+    result = reduce_catalog(c)
+    jet_steps = [step for step in result.trace.steps
+                 if not isinstance(step, ReparamStep)]
+    assert {type(step) for step in jet_steps} == {JetStep, ScaleStep}
+    assert len(tables) == len(jet_steps)
+    assert tables[0] is not None
+    assert all(table is tables[0] for table in tables)

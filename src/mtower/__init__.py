@@ -21,7 +21,8 @@ from .normalize import (Certificate, Reduction, ReductionTrace,
 from .series import DEFAULT_TRUNC, TruncSeries
 from .tower import (CriticalHyperplane, TowerPoint, classify_direction,
                     make_point, point_above, project_point, prolong_curve,
-                    prolong_hyperplane, realize_point, rvt_code, word_str)
+                    prolong_hyperplane, prolong_point, realize_point, rvt_code,
+                    word_str)
 from .census import (class_successors, enumerate_classes, orbit_census,
                      representatives, verify_rvvv_split)
 
@@ -37,7 +38,8 @@ __all__ = [
     "monomialize_first", "reduce_catalog", "scale_normalize", "zariski_step",
     "DEFAULT_TRUNC", "TruncSeries", "CriticalHyperplane", "TowerPoint", "classify_direction",
     "make_point", "point_above", "project_point", "prolong_curve",
-    "prolong_hyperplane", "realize_point", "rvt_code", "word_str",
+    "prolong_hyperplane", "prolong_point", "realize_point", "rvt_code",
+    "word_str",
     "class_successors", "enumerate_classes", "orbit_census",
     "representatives", "verify_rvvv_split", "__version__",
 ]

@@ -20,8 +20,8 @@ from .diffeo import (DiffeoJet, fiber_action, isotropy_check, prolong_apply,
 from .invariants import multiplicity, planarity, semigroup
 from .normalize import apply_certificate, equivalence_search, reduce_catalog
 from .series import TruncSeries
-from .tower import (project_point, prolong_curve, realize_point,
-                    rvt_code, word_str)
+from .tower import (project_point, prolong_curve, prolong_point,
+                    realize_point, rvt_code, word_str)
 
 F = Fraction
 
@@ -165,13 +165,13 @@ def criterion_8_planarity() -> str:
 
 
 def criterion_9_hyperplane_geometry() -> str:
-    _check(len(prolong_curve(monomial_curve(1, None, None), 3).point.arrangement) == 1,
+    _check(len(prolong_point(monomial_curve(1, None, None), 3).arrangement) == 1,
            "R arrangement")
-    _check(len(prolong_curve(monomial_curve(2, 3, None), 2).point.arrangement) == 2,
+    _check(len(prolong_point(monomial_curve(2, 3, None), 2).arrangement) == 2,
            "V arrangement")
-    _check(len(prolong_curve(monomial_curve(3, 4, 5), 3).point.arrangement) == 2,
+    _check(len(prolong_point(monomial_curve(3, 4, 5), 3).arrangement) == 2,
            "T arrangement")
-    p3 = prolong_curve(monomial_curve(4, 6, 7), 3).point
+    p3 = prolong_point(monomial_curve(4, 6, 7), 3)
     _check(len(p3.arrangement) == 3, "L arrangement")
     planes = {h.birth_level: h for h in p3.arrangement if not h.is_vertical}
     d12, d21 = planes[2], planes[1]
@@ -185,7 +185,7 @@ def criterion_9_hyperplane_geometry() -> str:
 
 def criterion_10_isotropy_constraints() -> str:
     rng = random.Random(0)
-    p2 = prolong_curve(monomial_curve(2, 3, None), 2).point
+    p2 = prolong_point(monomial_curve(2, 3, None), 2)
     p3 = rvv_point()
     for _ in range(20):
         phi = sample_diffeo(rng, degree=2, constraints=taylor_constraints("G1"),
@@ -215,10 +215,10 @@ def criterion_11_rvvv_split() -> str:
 def criterion_12_property_suites() -> str:
     rng = random.Random(1)
     # (a) independence of the realizing curve
-    points = [prolong_curve(monomial_curve(2, 3, None), 2).point,
+    points = [prolong_point(monomial_curve(2, 3, None), 2),
               rvv_point(),
-              prolong_curve(monomial_curve(3, 4, 5), 3).point,
-              prolong_curve(monomial_curve(4, 6, 7), 3).point,
+              prolong_point(monomial_curve(3, 4, 5), 3),
+              prolong_point(monomial_curve(4, 6, 7), 3),
               rvvv_points()[1]]
     trials = 0
     while trials < 50:
@@ -258,11 +258,11 @@ def criterion_12_property_suites() -> str:
     # (d) projection/prolongation round trips
     for exponents, level in [((2, 3, None), 3), ((4, 6, 7), 3), ((3, 5, 7), 3)]:
         c = monomial_curve(*exponents)
-        deep = prolong_curve(c, level).point
+        deep = prolong_point(c, level)
         for i in range(1, level):
-            _check(project_point(deep, i) == prolong_curve(c, i).point,
+            _check(project_point(deep, i) == prolong_point(c, i),
                    "projection incompatible with prolongation")
-        _check(prolong_curve(realize_point(deep), level).point == deep,
+        _check(prolong_point(realize_point(deep), level) == deep,
                "realize/prolong round trip failed")
     return f"50 realizing-curve trials, {moves} invariance moves, " \
            "functoriality and round trips all exact"

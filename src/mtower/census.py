@@ -20,11 +20,11 @@ from .catalog import (LEVEL_CLASSES, NORMAL_FORMS, ORBIT_COUNTS,
 from .curves import CurveGerm, monomial_curve
 from .diffeo import (DiffeoJet, fiber_action, isotropy_check,
                      sample_diffeo, taylor_constraints)
-from .errors import DomainError
+from .errors import DomainError, InsufficientTruncation
 from .invariants import semigroup
 from .series import DEFAULT_TRUNC
 from .tower import (TowerPoint, parse_word, point_above, point_letters,
-                    prolong_curve, realize_point, rvt_code, word_str)
+                    prolong_point, realize_point, rvt_code, word_str)
 
 _SUCCESSORS = {
     "R": ("R", "V"),
@@ -90,7 +90,7 @@ def representatives(code: str, trunc: int = DEFAULT_TRUNC) -> list[CurveGerm]:
 
 def rvv_point(trunc: int = DEFAULT_TRUNC) -> TowerPoint:
     """The chain representative at level 3 (all chart coordinates zero)."""
-    return prolong_curve(monomial_curve(3, 5, 7, trunc=trunc), 3).point
+    return prolong_point(monomial_curve(3, 5, 7, trunc=trunc), 3)
 
 
 def rvvv_points(trunc: int = DEFAULT_TRUNC) -> tuple[TowerPoint, TowerPoint]:
@@ -138,7 +138,7 @@ def _membership_evidence(code: str, curves: Sequence[CurveGerm],
 
 
 def _separation_evidence(curves: Sequence[CurveGerm], level: int) -> list[Evidence]:
-    points = [prolong_curve(c, level).point for c in curves]
+    points = [prolong_point(c, level) for c in curves]
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             if points[i] == points[j]:
@@ -155,42 +155,51 @@ def _separation_evidence(curves: Sequence[CurveGerm], level: int) -> list[Eviden
     return out
 
 
+def _class_record(code: str, level: int, trunc: int) -> ClassRecord:
+    count = ORBIT_COUNTS[code]
+    curves = tuple(representatives(code, trunc))
+    evidence = _membership_evidence(code, curves, level)
+    if code == "RVV":
+        p = prolong_point(curves[0], 3)
+        q = prolong_point(curves[1], 3)
+        if p != q:
+            raise AssertionError("the two RVV forms should merge at level 3")
+        evidence.append(Evidence(
+            "merge-certificate", "verified",
+            "both normal forms prolong to the same level-3 point; "
+            "the split reappears inside RVVR"))
+    elif len(curves) >= 2:
+        evidence.extend(_separation_evidence(curves, level))
+    if code == "RVVV":
+        evidence.append(Evidence(
+            "fiber-split", "verified",
+            "vertical fiber action is diagonal; see verify_rvvv_split"))
+    if curves:
+        shown = 1 if code == "RVV" else len(curves)
+        evidence.append(Evidence(
+            "count-lower-bound", "verified",
+            f">= {shown} orbit(s) exhibited by representatives"))
+    else:
+        evidence.append(Evidence(
+            "representatives", "asserted",
+            "no catalog representative for this class"))
+    evidence.append(Evidence(
+        "count", "asserted",
+        f"= {count} by the classification theorems"))
+    return ClassRecord(code, count, curves, tuple(evidence))
+
+
 def orbit_census(level: int, trunc: int = DEFAULT_TRUNC) -> CensusReport:
-    """Per-class orbit counts with their evidence, plus the level total."""
+    """Per-class orbit counts with their evidence, plus the level total;
+    a truncation too low for a class's evidence names the class."""
     records = []
     for word in enumerate_classes(level):
         code = word_str(word)
-        count = ORBIT_COUNTS[code]
-        curves = tuple(representatives(code, trunc))
-        evidence = _membership_evidence(code, curves, level)
-        if code == "RVV":
-            p = prolong_curve(curves[0], 3).point
-            q = prolong_curve(curves[1], 3).point
-            if p != q:
-                raise AssertionError("the two RVV forms should merge at level 3")
-            evidence.append(Evidence(
-                "merge-certificate", "verified",
-                "both normal forms prolong to the same level-3 point; "
-                "the split reappears inside RVVR"))
-        elif len(curves) >= 2:
-            evidence.extend(_separation_evidence(curves, level))
-        if code == "RVVV":
-            evidence.append(Evidence(
-                "fiber-split", "verified",
-                "vertical fiber action is diagonal; see verify_rvvv_split"))
-        if curves:
-            shown = 1 if code == "RVV" else len(curves)
-            evidence.append(Evidence(
-                "count-lower-bound", "verified",
-                f">= {shown} orbit(s) exhibited by representatives"))
-        else:
-            evidence.append(Evidence(
-                "representatives", "asserted",
-                "no catalog representative for this class"))
-        evidence.append(Evidence(
-            "count", "asserted",
-            f"= {count} by the classification theorems"))
-        records.append(ClassRecord(code, count, curves, tuple(evidence)))
+        try:
+            records.append(_class_record(code, level, trunc))
+        except InsufficientTruncation as exc:
+            raise InsufficientTruncation(
+                f"census class {code} at trunc {trunc}: {exc}") from exc
     total = sum(r.orbit_count for r in records)
     if total != ORBIT_TOTALS[level]:
         raise AssertionError(f"census total {total} at level {level} is wrong")

@@ -17,7 +17,7 @@ from .curves import CurveGerm
 from .errors import DomainError
 from .jets import Mono, PolyJet3, monomials
 from .series import DEFAULT_TRUNC, Rational, _as_fraction
-from .tower import TowerPoint, point_above, prolong_curve, realize_point
+from .tower import TowerPoint, point_above, prolong_point, realize_point
 
 #: Default total degree for diffeomorphism jets.
 DEFAULT_JET_DEGREE = 8
@@ -79,7 +79,7 @@ def prolong_apply(phi: DiffeoJet, p: TowerPoint,
         return p  # germs fix the origin
     gamma = realize_point(p, trunc)
     image = phi.apply_to_curve(gamma)
-    return prolong_curve(image, p.level).point
+    return prolong_point(image, p.level)
 
 
 def isotropy_check(phi: DiffeoJet, p: TowerPoint,

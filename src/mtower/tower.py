@@ -86,7 +86,7 @@ class TowerPoint:
     """Point of the tower: level, chart path, exact coordinates, arrangement.
 
     Build through :func:`make_point`, :func:`point_above` or
-    :func:`prolong_curve`; the arrangement is derived data.
+    :func:`prolong_point`; the arrangement is derived data.
     """
 
     level: int
@@ -295,16 +295,35 @@ def _direction_of(derivs: Sequence[TruncSeries], level: int) -> tuple[Direction,
     return (comps[0], comps[1], comps[2]), m
 
 
-def prolong_curve(c: CurveGerm, k: int) -> ProlongedCurve:
-    """Cartan-prolong a curve germ ``k`` times.
+@dataclass(frozen=True)
+class _Climb:
+    """One climb to level k: the point and its letters, the coordinate
+    series through level k - 1, and the level-k derivative triple with the
+    power of t cancelled from it before reading the direction."""
 
-    At each level the chart denominator is picked by the priority rule from
-    the limit direction of the derivative triple (common factors of t are
-    cancelled before evaluating at 0, so singular parameters are fine). The
-    two remaining derivative ratios become the new fiber coordinate series.
-    """
+    point: TowerPoint
+    letters: RVTWord
+    series: tuple[TruncSeries, ...]
+    derivs: tuple[TruncSeries, ...]
+    cancelled: int
+
+
+def _fiber_series(derivs: Sequence[TruncSeries], d: int) -> tuple[TruncSeries, ...]:
+    """Fiber coordinate series of a level: the derivative ratios over the
+    chart denominator ``d``."""
+    return derivs[d].quotients(*(derivs[i] for i in range(3) if i != d))
+
+
+def _check_level(k: int) -> None:
     if k < 1:
         raise DomainError("prolongation level must be at least 1")
+
+
+def _climb(c: CurveGerm, k: int) -> _Climb:
+    """Go up the tower once to level ``k`` along the curve's prolongation,
+    by the chart rule of :func:`prolong_curve`. A level's fiber series are
+    computed only when the next level's derivatives need them."""
+    _check_level(k)
     if c.is_constant():
         raise InsufficientTruncation("the curve vanishes up to truncation")
     series: list[TruncSeries] = list(c.components)
@@ -314,20 +333,43 @@ def prolong_curve(c: CurveGerm, k: int) -> ProlongedCurve:
     coords: list[Fraction] = [Fraction(0)] * 3
     arrangement: Arrangement = ()
     for j in range(1, k + 1):
-        derivs = [s.derivative() for s in active]
-        direction, _ = _direction_of(derivs, j)
+        if j > 1:
+            u_series, v_series = _fiber_series(derivs, d)
+            series.extend((u_series, v_series))
+            active = [active[d], u_series, v_series]
+        derivs = tuple(s.derivative() for s in active)
+        direction, cancelled = _direction_of(derivs, j)
         letters.append(_classify(arrangement, direction))
         d, u, v = _center(direction)
-        u_series, v_series = derivs[d].quotients(
-            *(derivs[i] for i in range(3) if i != d))
         arrangement = _next_arrangement(arrangement, direction, d, j)
         chart.append(d)
         coords.extend((u, v))
-        series.extend((u_series, v_series))
-        active = [active[d], u_series, v_series]
     point = TowerPoint(k, tuple(chart), tuple(coords), arrangement)
-    return ProlongedCurve(c, k, tuple(chart), tuple(series),
-                          tuple(letters), point)
+    return _Climb(point, tuple(letters), tuple(series), derivs, cancelled)
+
+
+def prolong_point(c: CurveGerm, k: int) -> TowerPoint:
+    """The point the curve's ``k``-fold prolongation reaches at t=0.
+
+    Equal to ``prolong_curve(c, k).point``, without the level-k fiber
+    series that the point does not read.
+    """
+    return _climb(c, k).point
+
+
+def prolong_curve(c: CurveGerm, k: int) -> ProlongedCurve:
+    """Cartan-prolong a curve germ ``k`` times.
+
+    At each level the chart denominator is picked by the priority rule from
+    the limit direction of the derivative triple (common factors of t are
+    cancelled before evaluating at 0, so singular parameters are fine). The
+    two remaining derivative ratios become the new fiber coordinate series.
+    """
+    top = _climb(c, k)
+    p = top.point
+    return ProlongedCurve(c, k, p.chart,
+                          top.series + _fiber_series(top.derivs, p.chart[-1]),
+                          top.letters, p)
 
 
 def rvt_code(c: CurveGerm, k: int) -> RVTWord:
@@ -337,19 +379,17 @@ def rvt_code(c: CurveGerm, k: int) -> RVTWord:
     at t=0 (no common factor of t in the velocity) and points in a regular
     direction. Anything else is refused rather than guessed.
     """
-    pc = prolong_curve(c, k)
-    act = [pc.series[i] for i in active_indices(pc.chart)]
-    derivs = [s.derivative() for s in act]
-    direction, cancelled = _direction_of(derivs, k + 1)
-    if cancelled != 0:
+    _check_level(k)
+    top = _climb(c, k + 1)
+    if top.cancelled != 0:
         raise DomainError(
             "the curve's level-%d prolongation is not immersed at t=0; "
             "it does not realize its endpoint" % k)
-    if _classify(pc.point.arrangement, direction) != "R":
+    if top.letters[k] != "R":
         raise DomainError(
             "the curve's level-%d direction is critical; it does not realize "
             "its endpoint" % k)
-    return pc.letters
+    return top.letters[:k]
 
 
 def word_str(word: Iterable[str]) -> str:

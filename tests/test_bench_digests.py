@@ -5,7 +5,9 @@ Every pool member of variant 0 of the ``normalize`` workload
 reduce`` and ``mt replay`` at 24, ``mt equiv`` at 16, 20 and 24, and the four
 separated pairs. Of the ``invariants`` workload, every semigroup item of all
 variants runs, and the sparse and variant-0 planarity and RVT items and the
-census. The sha256 of each output must equal the one in
+census. Of the ``action`` workload, every variant-0 item runs, each
+``fiber_action`` only after its isotropy check returned True, as in the
+benchmark. The sha256 of each output must equal the one in
 ``mtbench/expected/<workload>.json``. Input files and traces are written to a
 temporary directory; nothing under ``mtbench/`` changes.
 """
@@ -56,4 +58,28 @@ def test_invariants_digests(tmp_path, monkeypatch):
     assert len(items) == 118
     wrong = [item.key for item in items
              if workloads.digest(item.to_obj(item.call())) != expected[item.key]]
+    assert wrong == []
+
+
+def test_action_digests(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(MTBENCH))
+    import workloads
+
+    expected = json.loads((MTBENCH / "expected" / "action.json").read_text())
+    wl = workloads.Action(0, tmp_path, expected)
+    items = [item for item in wl.pool() if "/v0/" in item.key]
+    flags = {}
+    wrong = []
+    ran = 0
+    for item in items:
+        # fiber_action runs only on the pairs whose jet fixes the point
+        if item.only_if is not None and flags.get(item.only_if) is not True:
+            continue
+        result = item.call()
+        ran += 1
+        if isinstance(result, bool):
+            flags[item.key] = result
+        if workloads.digest(item.to_obj(result)) != expected[item.key]:
+            wrong.append(item.key)
+    assert ran == 176
     assert wrong == []

@@ -1,12 +1,14 @@
 """Command-line round trips, determinism and exit codes."""
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from mtower import cli
+from mtower.census import enumerate_classes
 from mtower.cli import main
 from mtower.curves import curve_from_obj, curve_to_obj, monomial_curve
 from mtower.formats import (certificate_from_obj, certificate_to_obj,
@@ -16,7 +18,7 @@ from mtower.formats import (certificate_from_obj, certificate_to_obj,
 from mtower.diffeo import DiffeoJet
 from mtower.errors import DomainError
 from mtower.normalize import apply_certificate, equivalence_search, reduce_catalog
-from mtower.tower import prolong_curve
+from mtower.tower import prolong_curve, word_str
 
 F = Fraction
 GOLDEN = Path(__file__).parent / "golden"
@@ -127,6 +129,18 @@ def test_census_json_deterministic(run):
     code2, out2 = run("census", "--level", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("trunc", [5, 8, 11])
+def test_census_below_its_truncation_names_the_class(capsys, trunc):
+    code = main(["census", "--level", "4", "--trunc", str(trunc)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.err
+    error = json.loads(captured.out)["error"]
+    assert error["code"] == "insufficient-truncation"
+    named = re.match(rf"census class (\w+) at trunc {trunc}: ", error["message"])
+    assert named and named.group(1) in map(word_str, enumerate_classes(4))
 
 
 def test_classes_verb(run):

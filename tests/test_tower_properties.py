@@ -4,11 +4,16 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from mtower.curves import CurveGerm
-from mtower.errors import MTError
+from mtower.catalog import NORMAL_FORMS
+from mtower.curves import CurveGerm, monomial_curve
+from mtower.diffeo import DiffeoJet
+from mtower.errors import DomainError, InsufficientTruncation, MTError
 from mtower.series import TruncSeries
-from mtower.tower import (classify_direction, point_above, point_letters,
-                          project_point, prolong_curve, realize_point)
+from mtower.tower import (ProlongedCurve, TowerPoint, _center, _classify,
+                          _direction_of, _next_arrangement, active_indices,
+                          classify_direction, point_above, point_letters,
+                          project_point, prolong_curve, prolong_point,
+                          realize_point, rvt_code)
 
 F = Fraction
 
@@ -106,3 +111,102 @@ def test_prolongation_is_deterministic(c):
         return
     assert a.chart == b.chart and a.point == b.point
     assert all(x == y for x, y in zip(a.series, b.series))
+
+
+# -- one climb serves the point, the prolonged curve and the RVT code ---------
+
+CATALOG = tuple(dict.fromkeys(e for forms in NORMAL_FORMS.values() for e in forms))
+signs = st.sampled_from((-1, 1))
+
+
+@st.composite
+def moved_catalog_curves(draw):
+    """Catalog normal forms at trunc 1-24 with 0-2 perturbation terms,
+    optionally moved by a degree-2 jet with coefficients +-1."""
+    trunc = draw(st.integers(1, 24))
+    comps = [s.coeffs for s in
+             monomial_curve(*draw(st.sampled_from(CATALOG)), trunc=trunc).components]
+    for _ in range(draw(st.integers(0, 2))):
+        comps[draw(st.integers(0, 2))][draw(st.integers(1, 14))] = draw(nonzero)
+    c = CurveGerm(*(TruncSeries(table, trunc) for table in comps))
+    if draw(st.booleans()):
+        axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        quadratic = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+        jet = []
+        for i in range(3):
+            # unit upper-triangular signs keep the linear part invertible
+            table = {axes[i]: draw(signs)}
+            for j in range(i + 1, 3):
+                table[axes[j]] = draw(st.sampled_from((-1, 0, 1)))
+            table[quadratic[draw(st.integers(0, 5))]] = draw(signs)
+            table[quadratic[draw(st.integers(0, 5))]] = draw(signs)
+            jet.append(table)
+        c = DiffeoJet.from_components(jet, 2).apply_to_curve(c)
+    return c
+
+
+def reference_prolong_curve(c, k):
+    """prolong_curve as it was before the shared climb: every level's fiber
+    series is computed in the same pass as its point."""
+    if k < 1:
+        raise DomainError("prolongation level must be at least 1")
+    if c.is_constant():
+        raise InsufficientTruncation("the curve vanishes up to truncation")
+    series = list(c.components)
+    active = list(c.components)
+    chart, letters, coords, arrangement = [], [], [Fraction(0)] * 3, ()
+    for j in range(1, k + 1):
+        derivs = [s.derivative() for s in active]
+        direction, _ = _direction_of(derivs, j)
+        letters.append(_classify(arrangement, direction))
+        d, u, v = _center(direction)
+        u_series, v_series = derivs[d].quotients(
+            *(derivs[i] for i in range(3) if i != d))
+        arrangement = _next_arrangement(arrangement, direction, d, j)
+        chart.append(d)
+        coords.extend((u, v))
+        series.extend((u_series, v_series))
+        active = [active[d], u_series, v_series]
+    point = TowerPoint(k, tuple(chart), tuple(coords), arrangement)
+    return ProlongedCurve(c, k, tuple(chart), tuple(series), tuple(letters), point)
+
+
+def reference_rvt_code(c, k):
+    """rvt_code as it was before the shared climb: prolong, then
+    differentiate the top chart triple and check the next direction."""
+    pc = reference_prolong_curve(c, k)
+    derivs = [pc.series[i].derivative() for i in active_indices(pc.chart)]
+    direction, cancelled = _direction_of(derivs, k + 1)
+    if cancelled != 0:
+        raise DomainError(
+            "the curve's level-%d prolongation is not immersed at t=0; "
+            "it does not realize its endpoint" % k)
+    if _classify(pc.point.arrangement, direction) != "R":
+        raise DomainError(
+            "the curve's level-%d direction is critical; it does not realize "
+            "its endpoint" % k)
+    return pc.letters
+
+
+def outcome(fn, *args):
+    """A call's value, or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(moved_catalog_curves(), st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+def test_climb_matches_the_full_prolongation(c, k):
+    # level 0 checks that rvt_code refuses it before climbing to level 1
+    ref = outcome(reference_prolong_curve, c, k)
+    pc = outcome(prolong_curve, c, k)
+    point = outcome(prolong_point, c, k)
+    assert pc == ref
+    if isinstance(pc, ProlongedCurve):
+        assert pc.point.arrangement == ref.point.arrangement
+        assert point == pc.point and point.arrangement == pc.point.arrangement
+    else:
+        assert point == pc
+    assert outcome(rvt_code, c, k) == outcome(reference_rvt_code, c, k)

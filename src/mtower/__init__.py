@@ -23,8 +23,8 @@ from .tower import (CriticalHyperplane, TowerPoint, classify_direction,
                     make_point, point_above, project_point, prolong_curve,
                     prolong_hyperplane, prolong_point, realize_point, rvt_code,
                     word_str)
-from .census import (class_successors, enumerate_classes, orbit_census,
-                     representatives, verify_rvvv_split)
+from .census import (enumerate_classes, orbit_census, representatives,
+                     verify_rvvv_split)
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,6 @@ __all__ = [
     "make_point", "point_above", "project_point", "prolong_curve",
     "prolong_hyperplane", "prolong_point", "realize_point", "rvt_code",
     "word_str",
-    "class_successors", "enumerate_classes", "orbit_census",
+    "enumerate_classes", "orbit_census",
     "representatives", "verify_rvvv_split", "__version__",
 ]

@@ -1,4 +1,8 @@
-"""Catalog of RVT classes and normal-form curves for levels 1 to 4."""
+"""Catalog of RVT classes and normal-form curves for levels 1 to 4.
+
+``LEVEL_CLASSES`` is the paper's list: the oracle for the classes that
+``census.enumerate_classes`` computes, and the keys of the level-4 counts.
+"""
 
 from __future__ import annotations
 
@@ -54,20 +58,3 @@ def normal_form_curves(code: str, trunc: int = DEFAULT_TRUNC) -> list[CurveGerm]
     """Catalog curves for a class, empty when the catalog lists none."""
     return [monomial_curve(*e, trunc=trunc) for e in NORMAL_FORMS.get(code, ())]
 
-
-def a2k_exponents(code: str) -> tuple[int, int, int | None] | None:
-    """Exponents (2, 2k+1, None) when the code has the shape R^k V R^m.
-
-    Such classes consist of a single orbit met by the corresponding planar
-    singularity; R^j alone is the smooth curve.
-    """
-    letters = list(code)
-    if all(ch == "R" for ch in letters):
-        return (1, None, None)  # type: ignore[return-value]
-    if "V" not in letters:
-        return None
-    i = letters.index("V")
-    if letters[:i].count("R") == i and all(ch == "R" for ch in letters[i + 1:]):
-        k = i
-        return (2, 2 * k + 1, None)
-    return None

@@ -1,5 +1,8 @@
 """RVT class enumeration and the orbit census with verification evidence.
 
+Classes are computed by walking the tower with its own direction classifier;
+the paper's lists in ``catalog.LEVEL_CLASSES`` only check that walk.
+
 Counts are assembled per class with explicit provenance: facts the engine
 recomputes (membership of representatives, merge points, invariant
 separations, the fiber computation splitting the level-4 vertical chain)
@@ -15,49 +18,26 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .catalog import (LEVEL_CLASSES, NORMAL_FORMS, ORBIT_COUNTS,
-                      ORBIT_TOTALS, a2k_exponents, normal_form_curves)
+from .catalog import (NORMAL_FORMS, ORBIT_COUNTS, ORBIT_TOTALS,
+                      normal_form_curves)
 from .curves import CurveGerm, monomial_curve
 from .diffeo import (DiffeoJet, fiber_action, isotropy_check,
                      sample_diffeo, taylor_constraints)
 from .errors import DomainError, InsufficientTruncation
 from .invariants import semigroup
 from .series import DEFAULT_TRUNC
-from .tower import (TowerPoint, parse_word, point_above, point_letters,
-                    prolong_point, realize_point, rvt_code, word_str)
-
-_SUCCESSORS = {
-    "R": ("R", "V"),
-    "V": ("R", "V", "T", "L"),
-    "T": ("R", "V", "T", "L"),
-    "L": ("R", "V", "T1", "T2", "L1", "L2", "L3"),
-}
+from .tower import (TowerPoint, _class_words, parse_word, point_above,
+                    point_letters, prolong_point, realize_point, rvt_code,
+                    word_str)
 
 _MAX_LEVEL = 4
 
 
-def class_successors(letter: str) -> tuple[str, ...]:
-    """Admissible next letters after a given letter.
-
-    Letters born over an L point have no successor table here, matching the
-    level-4 cap.
-    """
-    if letter in ("T1", "T2", "L1", "L2", "L3"):
-        raise DomainError(
-            "successors of refined letters are unsupported beyond level 4")
-    if letter not in _SUCCESSORS:
-        raise DomainError(f"unknown letter {letter!r}")
-    return _SUCCESSORS[letter]
-
-
 def enumerate_classes(level: int) -> list[tuple[str, ...]]:
-    """All RVT words of the given level, in prefix order."""
+    """All RVT words of a level in prefix order, computed by the tower."""
     if not 1 <= level <= _MAX_LEVEL:
         raise DomainError(f"class enumeration is supported for levels 1..{_MAX_LEVEL}")
-    words: list[tuple[str, ...]] = [("R",)]
-    for _ in range(level - 1):
-        words = [w + (nxt,) for w in words for nxt in class_successors(w[-1])]
-    return words
+    return _class_words(level)
 
 
 def representatives(code: str, trunc: int = DEFAULT_TRUNC) -> list[CurveGerm]:
@@ -65,26 +45,23 @@ def representatives(code: str, trunc: int = DEFAULT_TRUNC) -> list[CurveGerm]:
 
     Classified levels use the normal-form table, and trailing R letters
     inherit the representatives of the classified prefix (a class and its
-    regular prolongations share curve normal forms). R^k V R^m classes get
+    regular prolongations share curve normal forms). A prefix R^k V gets
     the planar singularity (t^2, t^{2k+1}, 0); the level-4 vertical chain
     gets the two curves realizing its split. Everything else is empty.
     """
-    word = parse_word(code)
-    level = len(word)
-    if word not in {parse_word(c) for c in LEVEL_CLASSES.get(level, ())}:
+    level = len(parse_word(code))
+    if code not in ORBIT_COUNTS:
         raise DomainError(f"{code!r} is not a class at level {level}")
-    stripped = word
-    while (word_str(stripped) not in NORMAL_FORMS
-           and stripped and stripped[-1] == "R"):
-        stripped = stripped[:-1]
-    base = word_str(stripped)
+    base = code
+    while base not in NORMAL_FORMS and base.endswith("R"):
+        base = base[:-1]
     if base in NORMAL_FORMS:
         return normal_form_curves(base, trunc)
     if code == "RVVV":
         return [realize_point(q, trunc) for q in rvvv_points(trunc)]
-    exponents = a2k_exponents(code)
-    if exponents is not None:
-        return [monomial_curve(*exponents, trunc=trunc)]
+    k = len(base) - 1
+    if base == "R" * k + "V":
+        return [monomial_curve(2, 2 * k + 1, None, trunc=trunc)]
     return []
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
 from .curves import CurveGerm
@@ -346,6 +347,34 @@ def _climb(c: CurveGerm, k: int) -> _Climb:
         coords.extend((u, v))
     point = TowerPoint(k, tuple(chart), tuple(coords), arrangement)
     return _Climb(point, tuple(letters), tuple(series), derivs, cancelled)
+
+
+#: The 13 projective directions with entries in {-1, 0, 1}. Walking them is
+#: exhaustive because every critical normal has entries 0 and 1: the
+#: vertical plane is (1, 0, 0), and _prolong_normal writes a 0 and copies two
+#: entries. So (1, 1, 1) avoids every plane; each plane holds at least three
+#: grid directions, so one misses the other two planes; and each
+#: intersection line is the cross product of two such normals.
+_GRID: tuple[Direction, ...] = tuple(
+    d for d in product(map(Fraction, (1, 0, -1)), repeat=3)
+    if next((x for x in d if x), 0) == 1)
+
+
+def _class_words(level: int) -> list[RVTWord]:
+    """Every RVT word of a level, in prefix order: each point extends by one
+    grid direction per letter, successors in ``LETTERS`` order."""
+    walk: list[tuple[RVTWord, Arrangement]] = [((), ())]
+    for j in range(1, level + 1):
+        step = []
+        for word, arrangement in walk:
+            first: dict[str, Direction] = {}
+            for direction in _GRID:
+                first.setdefault(_classify(arrangement, direction), direction)
+            step.extend((word + (letter,), _next_arrangement(
+                arrangement, first[letter], _center(first[letter])[0], j))
+                for letter in sorted(first, key=LETTERS.index))
+        walk = step
+    return [word for word, _ in walk]
 
 
 def prolong_point(c: CurveGerm, k: int) -> TowerPoint:

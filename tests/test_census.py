@@ -1,32 +1,20 @@
 """Class enumeration and the orbit census."""
 
+from itertools import product
+
 import pytest
 
-from mtower import census
+from mtower import (census, classify_direction, make_point, point_above,
+                    realize_point)
 from mtower.census import (RVVV_SAMPLES, RVVV_SCALINGS, census_table,
-                           class_successors, enumerate_classes, orbit_census,
-                           representatives, rvvv_points, verify_rvvv_split)
+                           enumerate_classes, orbit_census, representatives,
+                           rvvv_points, verify_rvvv_split)
 from mtower.errors import DomainError
 from mtower.tower import point_letters, rvt_code, word_str
 
 
 def codes(level):
     return [word_str(w) for w in enumerate_classes(level)]
-
-
-# -- successors ------------------------------------------------------------------
-
-def test_successor_table():
-    assert class_successors("R") == ("R", "V")
-    assert class_successors("V") == ("R", "V", "T", "L")
-    assert class_successors("T") == ("R", "V", "T", "L")
-    assert class_successors("L") == ("R", "V", "T1", "T2", "L1", "L2", "L3")
-
-
-def test_successors_of_refined_letters_rejected():
-    for letter in ("T1", "T2", "L1", "L2", "L3"):
-        with pytest.raises(DomainError):
-            class_successors(letter)
 
 
 # -- enumeration --------------------------------------------------------------------
@@ -51,6 +39,32 @@ def test_level_lists_verbatim():
 def test_enumeration_level_out_of_range():
     with pytest.raises(DomainError):
         enumerate_classes(5)
+
+
+def _points_by_word(level):
+    """One tower point per word, from the level-0 origin through every
+    direction with entries in {-1, 0, 1}, by the public point API."""
+    grid = [d for d in product((1, 0, -1), repeat=3)
+            if next((x for x in d if x), 0) == 1]
+    points = {(): make_point(0, (), (0, 0, 0))}
+    for _ in range(level):
+        above = {}
+        for word, p in points.items():
+            for d in grid:
+                key = word + (classify_direction(p, d),)
+                if key not in above:
+                    above[key] = point_above(p, d)
+        points = above
+    return points
+
+
+@pytest.mark.parametrize("level", [1, 2, 3, 4])
+def test_every_class_is_realized_by_a_curve(level):
+    points = _points_by_word(level)
+    assert sorted(points) == sorted(enumerate_classes(level))
+    for word, p in points.items():
+        assert point_letters(p) == word
+        assert rvt_code(realize_point(p, 32), level) == word
 
 
 # -- representatives ------------------------------------------------------------------
@@ -106,6 +120,17 @@ def test_rvvv_representatives_build_their_points_at_the_given_trunc(monkeypatch)
 def test_representatives_rejects_unknown_code():
     with pytest.raises(DomainError):
         representatives("RRT")
+
+
+@pytest.mark.parametrize("code", ["RRRRR", "R" * 10_000])
+def test_representatives_refuses_a_long_word_without_walking(monkeypatch, code):
+    def walk(n):
+        raise AssertionError(f"walked the tower to level {n}")
+
+    monkeypatch.setattr(census, "_class_words", walk)
+    with pytest.raises(DomainError,
+                       match=f"is not a class at level {len(code)}$"):
+        representatives(code)
 
 
 # -- census ------------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mtower import cli
+from mtower import census, cli
 from mtower.census import enumerate_classes
 from mtower.cli import main
 from mtower.curves import curve_from_obj, curve_to_obj, monomial_curve
@@ -147,6 +147,21 @@ def test_classes_verb(run):
     code, out = run("classes", "--level", "2")
     assert code == 0
     assert json.loads(out) == {"level": 2, "classes": ["RR", "RV"]}
+
+
+@pytest.mark.parametrize("verb", ["classes", "census"])
+@pytest.mark.parametrize("level", ["0", "-1", "5", str(10**9)])
+def test_class_level_out_of_range_is_refused_before_any_walk(
+        run, monkeypatch, verb, level):
+    def walk(n):
+        raise AssertionError(f"walked the tower to level {n}")
+
+    monkeypatch.setattr(census, "_class_words", walk)
+    code, out = run(verb, "--level", level)
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "code": "domain-error",
+        "message": "class enumeration is supported for levels 1..4"}}
 
 
 def test_semigroup_verb(run, tmp_path):

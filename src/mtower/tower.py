@@ -14,18 +14,23 @@ coframe form that is nonzero on the direction being centered (the chart
 priority order, as the new fiber coordinates ``u_{k+1}, v_{k+1}``. The new
 coframe is then ``(denominator form, du_{k+1}, dv_{k+1})``.
 
-Critical hyperplanes are stored as linear functionals on the coframe, so
-membership of a direction is a single exact dot product. The vertical plane
-(tangent to the fiber) is always the functional ``(1, 0, 0)``. Prolonging a
-hyperplane through a direction contained in it keeps the two coefficients
-other than the chart denominator's:
+Critical hyperplanes are stored as linear functionals on the coframe whose
+coefficients are 0 or 1, so a direction lies in a plane when its coordinates
+at the plane's 1s sum to zero. The vertical plane (tangent to the fiber) is
+always the functional ``(1, 0, 0)``. Prolonging a hyperplane through a
+direction contained in it keeps the two coefficients other than the chart
+denominator's:
 
     denominator 0: (a, b, c) -> (0, b, c)
     denominator 1: (a, b, c) -> (0, a, c)
     denominator 2: (a, b, c) -> (0, a, b)
 
 which is the plane spanned by the tautological lift of the direction and the
-tangent line to the projectivized kernel inside the new fiber.
+tangent line to the projectivized kernel inside the new fiber. Since that
+rule only writes a 0 and copies coefficients, every normal stays a 0/1
+triple. An arrangement lists the vertical plane first, then the tangency
+planes from the newest birth level down. One level step, :func:`_step`,
+gives a direction's letter, its chart step and the arrangement above it.
 """
 
 from __future__ import annotations
@@ -60,23 +65,27 @@ class CriticalHyperplane:
 
     birth_level: int
     age: int
-    normal: Direction
+    normal: tuple[int, int, int]
 
     def __post_init__(self):
-        if all(v == 0 for v in self.normal):
-            raise DomainError("hyperplane normal must be nonzero")
+        if (len(self.normal) != 3 or any(v not in (0, 1) for v in self.normal)
+                or not any(self.normal)):
+            raise DomainError(
+                "hyperplane normal must be a nonzero triple of 0s and 1s")
 
     @property
     def is_vertical(self) -> bool:
         return self.age == 0
 
     def contains(self, direction: Sequence[Rational]) -> bool:
-        d = _as_direction(direction)
-        return sum(n * v for n, v in zip(self.normal, d)) == 0
+        return self._holds(_as_direction(direction))
+
+    def _holds(self, direction: Direction) -> bool:
+        return sum(v for n, v in zip(self.normal, direction) if n) == 0
 
 
 def vertical_plane(level: int) -> CriticalHyperplane:
-    return CriticalHyperplane(level, 0, (Fraction(1), Fraction(0), Fraction(0)))
+    return CriticalHyperplane(level, 0, (1, 0, 0))
 
 
 Arrangement = tuple[CriticalHyperplane, ...]
@@ -126,13 +135,33 @@ def _step_direction(d: int, u: Fraction, v: Fraction) -> Direction:
     return (u, v, Fraction(1))
 
 
-def _prolong_normal(normal: Direction, d: int) -> Direction:
-    a, b, c = normal
-    if d == 0:
-        return (Fraction(0), b, c)
-    if d == 1:
-        return (Fraction(0), a, c)
-    return (Fraction(0), a, b)
+def _step(arrangement: Arrangement, direction: Direction, level: int
+          ) -> tuple[str, tuple[int, Fraction, Fraction], Arrangement]:
+    """One step up the tower from a point with ``arrangement``: the letter
+    of ``direction`` (see :func:`classify_direction`), the chart step
+    (d, u, v) centered on it, and the arrangement of the level-``level``
+    point above. Index 1 of an arrangement is its newest tangency plane,
+    the one T1 and L1 name."""
+    hits = [i for i, h in enumerate(arrangement) if h._holds(direction)]
+    if len(hits) > 2:
+        raise AssertionError("three critical hyperplanes share a direction")
+    if not hits:
+        letter = "R"
+    elif hits == [0]:
+        letter = "V"
+    elif len(hits) == 2 and hits[0] > 0:
+        letter = "L3"
+    else:
+        letter = "T" if len(hits) == 1 else "L"
+        if len(arrangement) > 2:  # two tangency planes to tell apart
+            letter += "1" if hits[-1] == 1 else "2"
+    d, u, v = _center(direction)
+    keep = [i for i in range(3) if i != d]
+    above = (vertical_plane(level),) + tuple(
+        CriticalHyperplane(h.birth_level, h.age + 1,
+                           (0, h.normal[keep[0]], h.normal[keep[1]]))
+        for h in (arrangement[i] for i in hits))
+    return letter, (d, u, v), above
 
 
 def prolong_hyperplane(plane: CriticalHyperplane,
@@ -142,47 +171,13 @@ def prolong_hyperplane(plane: CriticalHyperplane,
     The chart step centered on ``direction`` fixes how the coframe is
     renamed.
     """
-    dirn = _as_direction(direction)
-    if not plane.contains(dirn):
+    _, _, above = _step((plane,), _as_direction(direction),
+                        plane.birth_level + plane.age + 1)
+    if len(above) == 1:
         raise DomainError(
             "direction is not inside the hyperplane; its baby monster "
             "does not pass through the new point")
-    return CriticalHyperplane(plane.birth_level, plane.age + 1,
-                              _prolong_normal(plane.normal, _center(dirn)[0]))
-
-
-def _next_arrangement(parent: Arrangement, direction: Direction,
-                      d: int, new_level: int) -> Arrangement:
-    planes = [vertical_plane(new_level)]
-    for plane in parent:
-        if plane.contains(direction):
-            planes.append(CriticalHyperplane(plane.birth_level, plane.age + 1,
-                                             _prolong_normal(plane.normal, d)))
-    return tuple(planes)
-
-
-def _classify(arrangement: Arrangement, direction: Direction) -> str:
-    containing = [h for h in arrangement if h.contains(direction)]
-    if not containing:
-        return "R"
-    vertical = [h for h in containing if h.is_vertical]
-    tangent = [h for h in containing if not h.is_vertical]
-    all_tangent = sorted((h for h in arrangement if not h.is_vertical),
-                         key=lambda h: -h.birth_level)
-    refined = len(all_tangent) >= 2
-    if len(containing) == 1:
-        if vertical:
-            return "V"
-        if not refined:
-            return "T"
-        return "T1" if containing[0] == all_tangent[0] else "T2"
-    if len(containing) > 2:
-        raise AssertionError("three critical hyperplanes share a direction")
-    if vertical and tangent:
-        if not refined:
-            return "L"
-        return "L1" if tangent[0] == all_tangent[0] else "L2"
-    return "L3"
+    return above[1]
 
 
 def classify_direction(p: TowerPoint, direction: Sequence[Rational]) -> str:
@@ -192,17 +187,22 @@ def classify_direction(p: TowerPoint, direction: Sequence[Rational]) -> str:
     contains it, T/T1/T2 for a single tangency plane, L/L1/L2/L3 for an
     intersection line of two planes.
     """
-    return _classify(p.arrangement, _as_direction(direction))
+    return _step(p.arrangement, _as_direction(direction), p.level + 1)[0]
 
 
 def _reconstruct(p: TowerPoint) -> tuple[Arrangement, RVTWord]:
-    """Arrangement and letters of ``p`` from its chart steps alone."""
+    """Arrangement and letters of ``p`` from its chart steps alone, checking
+    that each step is the chart that centering its own direction picks."""
     arrangement: Arrangement = ()
     letters: list[str] = []
-    for j in range(1, p.level + 1):
-        direction = p.step_direction(j)
-        letters.append(_classify(arrangement, direction))
-        arrangement = _next_arrangement(arrangement, direction, p.chart[j - 1], j)
+    for j, d in enumerate(p.chart, start=1):
+        letter, (centered, _, _), arrangement = _step(
+            arrangement, p.step_direction(j), j)
+        if centered != d:
+            form, zero = ("u", f"u_{j}") if d == 1 else ("v", f"u_{j} and v_{j}")
+            raise DomainError(f"chart step {j} uses the {form}-form "
+                              f"denominator, so {zero} must be 0")
+        letters.append(letter)
     return arrangement, tuple(letters)
 
 
@@ -219,13 +219,6 @@ def make_point(level: int, chart: Sequence[int],
         raise DomainError("chart steps must be 0, 1 or 2")
     bare = TowerPoint(level, tuple(chart),
                       tuple(_as_fraction(c) for c in coords), ())
-    for j in range(1, level + 1):
-        # each step must be the chart that centering its own direction picks
-        d = chart[j - 1]
-        if _center(bare.step_direction(j))[0] != d:
-            form, zero = ("u", f"u_{j}") if d == 1 else ("v", f"u_{j} and v_{j}")
-            raise DomainError(f"chart step {j} uses the {form}-form "
-                              f"denominator, so {zero} must be 0")
     arrangement, _ = _reconstruct(bare)
     return replace(bare, arrangement=arrangement)
 
@@ -237,8 +230,9 @@ def point_letters(p: TowerPoint) -> RVTWord:
 
 def point_above(p: TowerPoint, direction: Sequence[Rational]) -> TowerPoint:
     """The point one level up centered on a direction at ``p``."""
-    d, u, v = _center(_as_direction(direction))
-    return make_point(p.level + 1, p.chart + (d,), p.coords + (u, v))
+    _, (d, u, v), arrangement = _step(p.arrangement, _as_direction(direction),
+                                      p.level + 1)
+    return TowerPoint(p.level + 1, p.chart + (d,), p.coords + (u, v), arrangement)
 
 
 def project_point(p: TowerPoint, i: int) -> TowerPoint:
@@ -340,9 +334,8 @@ def _climb(c: CurveGerm, k: int) -> _Climb:
             active = [active[d], u_series, v_series]
         derivs = tuple(s.derivative() for s in active)
         direction, cancelled = _direction_of(derivs, j)
-        letters.append(_classify(arrangement, direction))
-        d, u, v = _center(direction)
-        arrangement = _next_arrangement(arrangement, direction, d, j)
+        letter, (d, u, v), arrangement = _step(arrangement, direction, j)
+        letters.append(letter)
         chart.append(d)
         coords.extend((u, v))
     point = TowerPoint(k, tuple(chart), tuple(coords), arrangement)
@@ -350,11 +343,10 @@ def _climb(c: CurveGerm, k: int) -> _Climb:
 
 
 #: The 13 projective directions with entries in {-1, 0, 1}. Walking them is
-#: exhaustive because every critical normal has entries 0 and 1: the
-#: vertical plane is (1, 0, 0), and _prolong_normal writes a 0 and copies two
-#: entries. So (1, 1, 1) avoids every plane; each plane holds at least three
-#: grid directions, so one misses the other two planes; and each
-#: intersection line is the cross product of two such normals.
+#: exhaustive because every critical normal has entries 0 and 1, which
+#: CriticalHyperplane checks. So (1, 1, 1) avoids every plane; each plane
+#: holds at least three grid directions, so one misses the other two planes;
+#: and each intersection line is the cross product of two such normals.
 _GRID: tuple[Direction, ...] = tuple(
     d for d in product(map(Fraction, (1, 0, -1)), repeat=3)
     if next((x for x in d if x), 0) == 1)
@@ -367,12 +359,12 @@ def _class_words(level: int) -> list[RVTWord]:
     for j in range(1, level + 1):
         step = []
         for word, arrangement in walk:
-            first: dict[str, Direction] = {}
+            first: dict[str, Arrangement] = {}
             for direction in _GRID:
-                first.setdefault(_classify(arrangement, direction), direction)
-            step.extend((word + (letter,), _next_arrangement(
-                arrangement, first[letter], _center(first[letter])[0], j))
-                for letter in sorted(first, key=LETTERS.index))
+                letter, _, above = _step(arrangement, direction, j)
+                first.setdefault(letter, above)
+            step.extend((word + (letter,), first[letter])
+                        for letter in sorted(first, key=LETTERS.index))
         walk = step
     return [word for word, _ in walk]
 
@@ -458,7 +450,7 @@ _TANGENT_CANDIDATES: tuple[tuple[int, int], ...] = (
 def _pick_regular_tangent(arrangement: Arrangement) -> tuple[Fraction, Fraction]:
     for s, r in _TANGENT_CANDIDATES:
         direction = (Fraction(1), Fraction(s), Fraction(r))
-        if all(not h.contains(direction) for h in arrangement):
+        if all(not h._holds(direction) for h in arrangement):
             return Fraction(s), Fraction(r)
     raise AssertionError("no regular tangent among the candidate slopes")
 
@@ -485,7 +477,7 @@ def realize_point(p: TowerPoint, trunc: int = DEFAULT_TRUNC,
     else:
         s, r = _as_fraction(tangent[0]), _as_fraction(tangent[1])
         direction = (Fraction(1), s, r)
-        if any(h.contains(direction) for h in p.arrangement):
+        if any(h._holds(direction) for h in p.arrangement):
             raise DomainError("requested tangent is a critical direction")
     top = active_indices(p.chart)
     w = TruncSeries({0: p.coords[top[0]], 1: 1}, trunc)

@@ -1,8 +1,12 @@
-"""Every name a module of the package imports is used there or exported.
+"""Every name a module of the package imports is used there or exported,
+and every private top-level function or class is referenced in the package.
 
 Each ``src/mtower/*.py`` other than ``__init__.py`` is parsed with ``ast``;
 an imported name counts as used when it appears as a name in the module's
 code (a quoted annotation does not count) or is listed in its ``__all__``.
+A private definition counts as referenced when a name, an attribute or an
+import anywhere in ``src/mtower`` names it, or when it is decorated (a
+decorator such as ``cli._verb`` registers it).
 """
 
 import ast
@@ -43,3 +47,28 @@ def test_every_import_is_used(path):
     unused = [f"{name} (line {line})"
               for name, line in sorted(_imported(tree).items()) if name not in kept]
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _references(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_private_definition_is_referenced():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    referenced = set().union(*map(_references, trees.values()))
+    unreferenced = [
+        f"{name}:{node.name} (line {node.lineno})"
+        for name, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+        and not node.decorator_list and node.name not in referenced]
+    assert not unreferenced, f"private definitions nothing uses: {unreferenced}"

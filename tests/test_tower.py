@@ -7,8 +7,8 @@ import pytest
 from mtower.curves import CurveGerm, monomial_curve
 from mtower.errors import DomainError, InsufficientTruncation
 from mtower.series import TruncSeries
-from mtower.tower import (classify_direction, make_point, parse_word,
-                          point_above, point_letters, project_point,
+from mtower.tower import (CriticalHyperplane, classify_direction, make_point,
+                          parse_word, point_above, point_letters, project_point,
                           prolong_curve, prolong_hyperplane, realize_point,
                           rvt_code, vertical_plane, word_str)
 
@@ -177,6 +177,13 @@ def test_prolong_hyperplane_rejects_outside_direction():
     v1 = p1.arrangement[0]
     with pytest.raises(DomainError):
         prolong_hyperplane(v1, (F(1), F(0), F(0)))
+
+
+@pytest.mark.parametrize("normal", [(1, 0), (1, 0, 0, 0), (0, 0, 0),
+                                    (2, F(1, 2), 0), (0, -1, 0), (1, 1, 2)])
+def test_hyperplane_normal_must_be_a_nonzero_0_1_triple(normal):
+    with pytest.raises(DomainError):
+        CriticalHyperplane(1, 0, normal)
 
 
 def test_prolong_hyperplane_renames_by_its_own_direction():

@@ -9,11 +9,12 @@ from mtower.curves import CurveGerm, monomial_curve
 from mtower.diffeo import DiffeoJet
 from mtower.errors import DomainError, InsufficientTruncation, MTError
 from mtower.series import TruncSeries
-from mtower.tower import (ProlongedCurve, TowerPoint, _center, _classify,
-                          _direction_of, _next_arrangement, active_indices,
-                          classify_direction, point_above, point_letters,
-                          project_point, prolong_curve, prolong_point,
-                          realize_point, rvt_code)
+from mtower.tower import (_GRID, Arrangement, CriticalHyperplane, Direction,
+                          ProlongedCurve, TowerPoint, _center, _direction_of,
+                          active_indices, classify_direction, make_point,
+                          point_above, point_letters, project_point,
+                          prolong_curve, prolong_point, realize_point,
+                          rvt_code, vertical_plane)
 
 F = Fraction
 
@@ -61,6 +62,9 @@ def test_point_above_centers_on_its_direction(c, k, delta):
     scale = step[d] / delta[d]
     assert scale != 0 and step == tuple(scale * x for x in delta)
     assert point_letters(q)[-1] == classify_direction(p, delta)
+    assert classify_direction(p, delta) == _classify(p.arrangement, delta)
+    rebuilt = make_point(q.level, q.chart, q.coords)
+    assert q == rebuilt and q.arrangement == rebuilt.arrangement
 
 
 @given(germ_curves(), st.integers(2, 3))
@@ -143,6 +147,78 @@ def moved_catalog_curves(draw):
             jet.append(table)
         c = DiffeoJet.from_components(jet, 2).apply_to_curve(c)
     return c
+
+
+# The letter and arrangement rules as they were before the one level step,
+# kept verbatim as the reference for the grid walk and the climb below.
+
+def _prolong_normal(normal: Direction, d: int) -> Direction:
+    a, b, c = normal
+    if d == 0:
+        return (Fraction(0), b, c)
+    if d == 1:
+        return (Fraction(0), a, c)
+    return (Fraction(0), a, b)
+
+
+def _next_arrangement(parent: Arrangement, direction: Direction,
+                      d: int, new_level: int) -> Arrangement:
+    planes = [vertical_plane(new_level)]
+    for plane in parent:
+        if plane.contains(direction):
+            planes.append(CriticalHyperplane(plane.birth_level, plane.age + 1,
+                                             _prolong_normal(plane.normal, d)))
+    return tuple(planes)
+
+
+def _classify(arrangement: Arrangement, direction: Direction) -> str:
+    containing = [h for h in arrangement if h.contains(direction)]
+    if not containing:
+        return "R"
+    vertical = [h for h in containing if h.is_vertical]
+    tangent = [h for h in containing if not h.is_vertical]
+    all_tangent = sorted((h for h in arrangement if not h.is_vertical),
+                         key=lambda h: -h.birth_level)
+    refined = len(all_tangent) >= 2
+    if len(containing) == 1:
+        if vertical:
+            return "V"
+        if not refined:
+            return "T"
+        return "T1" if containing[0] == all_tangent[0] else "T2"
+    if len(containing) > 2:
+        raise AssertionError("three critical hyperplanes share a direction")
+    if vertical and tangent:
+        if not refined:
+            return "L"
+        return "L1" if tangent[0] == all_tangent[0] else "L2"
+    return "L3"
+
+
+def test_grid_walk_agrees_with_the_reference_rules():
+    """Levels 1-5 from the empty arrangement over all 13 grid directions,
+    one point per distinct arrangement: each arrangement lists its vertical
+    plane first and then strictly decreasing birth levels, letters agree
+    with the reference classifier, and a point one level up is the point
+    make_point rebuilds from its chart and coordinates."""
+    walk = [make_point(0, (), (0, 0, 0))]
+    for level in range(1, 6):
+        above = {}
+        for p in walk:
+            for direction in _GRID:
+                assert classify_direction(p, direction) == _classify(
+                    p.arrangement, direction)
+                q = point_above(p, direction)
+                rebuilt = make_point(level, q.chart, q.coords)
+                assert q == rebuilt and q.arrangement == rebuilt.arrangement
+                assert q.arrangement == _next_arrangement(
+                    p.arrangement, direction, q.chart[-1], level)
+                assert q.arrangement[0] == vertical_plane(level)
+                assert not any(h.is_vertical for h in q.arrangement[1:])
+                births = [h.birth_level for h in q.arrangement]
+                assert births == sorted(set(births), reverse=True)
+                above.setdefault(q.arrangement, q)
+        walk = list(above.values())
 
 
 def reference_prolong_curve(c, k):

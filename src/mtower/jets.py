@@ -126,14 +126,13 @@ def evaluate_polys(polys: Iterable[IntPoly],
     evaluated lazily, one at a time. A polynomial that is one axis alone
     (coefficient 1, denominator 1) yields that axis's image itself.
 
-    The powers last for this call, or as long as the caller keeps
-    ``powers``: a table of one list per axis (empty at first) that holds the
-    powers of that axis's image between calls. A list is restarted whenever
-    its axis's image is not the same object as before; since an identity
-    component passes its image through, a loop that feeds each call the
-    results of the last keeps the powers of the axes a step leaves in place.
-    One table serves one ``mul`` (one truncation or degree).
-    """
+    The powers last for this call, or, in a loop of series substitutions at
+    one truncation, as long as the caller keeps ``powers``: a table of one
+    list per axis (empty at first) that holds the powers of that axis's
+    image between calls. A list is restarted whenever its axis's image is
+    not the same object as before; since an identity component passes its
+    image through, a loop that feeds each call the results of the last keeps
+    the powers of the axes a step leaves in place."""
     if powers is None:
         powers = [[one, image] for image in images]
     else:
@@ -265,11 +264,9 @@ class PolyJet3:
 
     # -- operations ---------------------------------------------------------
 
-    def compose(self, inner: "PolyJet3", degree: int | None = None,
-                powers: list[list[IntPoly]] | None = None) -> "PolyJet3":
-        """self after inner, truncated at total degree ``degree``; ``powers``
-        keeps the powers of inner's components as in :func:`evaluate_polys`,
-        for one degree."""
+    def compose(self, inner: "PolyJet3", degree: int | None = None) -> "PolyJet3":
+        """self after inner, truncated at total degree ``degree``; the powers
+        of inner's components last for this call only."""
         if not (self._fixes_origin() and inner._fixes_origin()):
             raise DomainError("jet composition requires both jets to fix the origin")
         deg = degree if degree is not None else min(self._degree, inner._degree)
@@ -280,7 +277,7 @@ class PolyJet3:
         images = tuple(_truncated(comp, deg) for comp in inner._comps)
         return jet_from_polys(evaluate_polys(
             outer, images, ({_ZERO: 1}, 1), lambda a, b: _poly_mul(a, b, deg),
-            poly_scaled_sum, powers), deg)
+            poly_scaled_sum), deg)
 
     def substitute(self, sx: TruncSeries, sy: TruncSeries, sz: TruncSeries,
                    powers: list[list[TruncSeries]] | None = None

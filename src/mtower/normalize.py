@@ -414,17 +414,20 @@ class EquivalenceResult:
     notes: tuple[str, ...] = ()
 
 
-def _compose_trace(trace: ReductionTrace, degree: int,
-                   trunc: int) -> tuple[DiffeoJet, TruncSeries]:
-    powers: list[list] = [[], [], []]
-    phi = DiffeoJet.identity(degree)
+def _compose_trace(trace: ReductionTrace, degree: int, trunc: int,
+                   outer: DiffeoJet | None = None) -> tuple[DiffeoJet, TruncSeries]:
+    """``outer`` (of degree ``degree``; the identity by default) after the
+    jet steps, folded from the outside so each step jet is the inner
+    argument of a composition; and the reparametrizations in order."""
+    phi = outer.jet if outer is not None else PolyJet3.identity(degree)
     tau = TruncSeries.identity(trunc)
     for step in trace.steps:
         if isinstance(step, ReparamStep):
             tau = tau.compose(step.tau)
-        else:
-            phi = DiffeoJet(_jet_of(step).jet.compose(phi.jet, degree, powers))
-    return phi, tau
+    for step in reversed(trace.steps):
+        if not isinstance(step, ReparamStep):
+            phi = phi.compose(_jet_of(step).jet, degree)
+    return DiffeoJet(phi), tau
 
 
 def apply_certificate(cert: Certificate, c: CurveGerm) -> CurveGerm:
@@ -445,10 +448,9 @@ def equivalence_search(c1: CurveGerm, c2: CurveGerm,
         if not well_parameterized(c):
             raise DomainError("equivalence search needs well-parameterized curves")
     if c1.agrees_with(c2):
-        ident = Certificate(DiffeoJet.identity(),
-                            TruncSeries.identity(min(c1.trunc, c2.trunc)),
-                            min(c1.trunc, c2.trunc))
-        return EquivalenceResult("equivalent", certificate=ident)
+        through = min(c1.trunc, c2.trunc)
+        return EquivalenceResult("equivalent", certificate=Certificate(
+            DiffeoJet.identity(), TruncSeries.identity(through), through))
     sep = _separate(c1, c2, bound)
     if sep is not None:
         return EquivalenceResult("separated", separation=sep)
@@ -457,9 +459,9 @@ def equivalence_search(c1: CurveGerm, c2: CurveGerm,
     if r1.curve.agrees_with(r2.curve):
         target = min(c1.trunc, c2.trunc)
         degree = target // max(multiplicity(c1), 1) + 1
-        phi_a, tau_a = _compose_trace(r1.trace, degree, c1.trunc)
         phi_b, tau_b = _compose_trace(r2.trace, degree, c2.trunc)
-        phi = phi_b.inverse(degree).compose(phi_a, degree)
+        phi, tau_a = _compose_trace(r1.trace, degree, c1.trunc,
+                                    phi_b.inverse(degree))
         tau = tau_a.compose(tau_b.param_inverse())
         moved = phi.apply_to_curve(c1).reparametrize(tau)
         through = min(moved.trunc, c2.trunc)

@@ -1,5 +1,6 @@
 """Command-line round trips, determinism and exit codes."""
 
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -219,6 +220,20 @@ def test_equiv_verb(run, tmp_path):
     payload = json.loads(out)
     assert payload["kind"] == "equivalent"
     assert payload["certificate"]["verified_through"] >= 30
+
+
+@pytest.mark.time_limit(20)
+def test_equiv_at_the_default_truncation(run, tmp_path):
+    # the README pair at trunc 64, whose certificate jet has degree 22
+    left = tmp_path / "a.json"
+    left.write_text(dumps({"trunc": 64, "x": {"3": "1", "4": "1"},
+                           "y": {"5": "1", "6": "-1"}, "z": {"7": "1", "8": "1"}}))
+    right = tmp_path / "b.json"
+    right.write_text(dumps(curve_to_obj(monomial_curve(3, 5, 7, trunc=64))))
+    code, out = run("equiv", "--left", str(left), "--right", str(right))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "63752675bf0b9f9aaf0951482f81ce4b575437c2461a88c204aa96333b739a0e"
 
 
 def test_apply_verb(run, tmp_path):

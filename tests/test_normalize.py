@@ -552,9 +552,10 @@ def test_steps_sharing_a_power_table_match_each_step_alone(c, sequence):
 
 
 @given(st.lists(trace_steps, min_size=1, max_size=6), st.integers(1, 8),
-       st.integers(1, 48))
+       st.integers(1, 48), st.lists(st.tuples(nonzero, witnesses),
+                                    min_size=3, max_size=3))
 @settings(max_examples=40, deadline=None)
-def test_compose_trace_matches_left_fold(steps, degree, trunc):
+def test_compose_trace_matches_left_fold(steps, degree, trunc, outer_terms):
     c = monomial_curve(3, 5, 7, trunc=8)  # _compose_trace reads only the steps
     trace = ReductionTrace(tuple(TraceEntry(step, c, c) for step in steps))
     phi, tau = _compose_trace(trace, degree, trunc)
@@ -570,6 +571,16 @@ def test_compose_trace_matches_left_fold(steps, degree, trunc):
             assert composed.jet == naive_compose(outer.jet, want_phi.jet, degree)
             want_phi = composed
     assert phi == want_phi
+    assert tau == want_tau
+    # an invertible outer jet: a nonzero diagonal plus the witnesses' terms
+    # of total degree 2-3
+    outer = DiffeoJet.from_components(
+        [{**{m: x for m, x in w.items() if sum(m) > 1}, axis: a}
+         for axis, (a, w) in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), outer_terms)],
+        degree)
+    phi, tau = _compose_trace(trace, degree, trunc, outer)
+    assert phi == outer.compose(want_phi, degree)
+    assert phi.jet == naive_compose(outer.jet, want_phi.jet, degree)
     assert tau == want_tau
 
 
@@ -604,7 +615,9 @@ def test_jet_steps_go_through_map_jet_and_compose(monkeypatch):
     assert [jet for _, jet in mapped] == jets
     composed = _calls(monkeypatch, PolyJet3, "compose")
     _compose_trace(result.trace, 8, c.trunc)
-    assert [outer for outer, _ in composed] == jets
+    # folded from the outside: the identity receives the last step first
+    assert [inner for _, inner in composed] == jets[::-1]
+    assert composed[0][0] == PolyJet3.identity(8)
 
 
 def test_every_stage_shares_one_power_table(monkeypatch):

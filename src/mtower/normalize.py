@@ -64,22 +64,6 @@ class ScaleStep:
 Step = Union[ReparamStep, JetStep, ScaleStep]
 
 
-def _jet_of(step: Step) -> DiffeoJet:
-    if isinstance(step, (JetStep, ScaleStep)):
-        return step.phi
-    raise DomainError(f"unknown reduction step {step!r}")
-
-
-def apply_step(c: CurveGerm, step: Step,
-               powers: list[list] | None = None) -> CurveGerm:
-    """``step`` applied to ``c``. A loop that keeps ``powers`` (see
-    :meth:`CurveGerm.map_jet`) shares the axis powers of the components its
-    jet steps leave in place."""
-    if isinstance(step, ReparamStep):
-        return c.reparametrize(step.tau)
-    return c.map_jet(_jet_of(step).jet, powers)
-
-
 @dataclass(frozen=True)
 class TraceEntry:
     step: Step
@@ -99,19 +83,18 @@ class ReductionTrace:
         return tuple(e.step for e in self.entries)
 
     def replay(self, c: CurveGerm) -> CurveGerm:
-        """Re-execute the steps on ``c``; the snapshots must be reproduced
-        exactly up to the available truncation."""
-        powers: list[list] = [[], [], []]
-        cur = c
+        """Push the steps on one :class:`Reduction` of ``c``; the snapshots
+        must be reproduced exactly up to the available truncation."""
+        r = Reduction(c)
         for number, entry in enumerate(self.entries, 1):
-            if not cur.agrees_with(entry.before):
+            if not r.curve.agrees_with(entry.before):
                 raise DomainError("trace replay diverged from its before-snapshot "
                                   f"at step {number} ({entry.step.kind})")
-            cur = apply_step(cur, entry.step, powers)
-            if not cur.agrees_with(entry.after):
+            r.push(entry.step)
+            if not r.curve.agrees_with(entry.after):
                 raise DomainError("trace replay diverged from its after-snapshot "
                                   f"at step {number} ({entry.step.kind})")
-        return cur
+        return r.curve
 
 
 class Reduction:
@@ -119,7 +102,8 @@ class Reduction:
     that led to it, the notes on what was left undone, and one table of axis
     powers (see :meth:`CurveGerm.map_jet`) that every step shares, so the
     components a step leaves in place keep their powers. Each stage below
-    extends a reduction in place."""
+    extends a reduction in place, and :meth:`ReductionTrace.replay` pushes
+    the recorded steps on a fresh one."""
 
     def __init__(self, start: CurveGerm):
         self.curve = start
@@ -130,7 +114,10 @@ class Reduction:
     def push(self, step: Step) -> None:
         """Apply ``step`` to the current curve and record it."""
         before = self.curve
-        self.curve = apply_step(before, step, self.powers)
+        if isinstance(step, ReparamStep):
+            self.curve = before.reparametrize(step.tau)
+        else:
+            self.curve = before.map_jet(step.phi.jet, self.powers)
         self.entries.append(TraceEntry(step, before, self.curve))
 
     @property
@@ -426,7 +413,7 @@ def _compose_trace(trace: ReductionTrace, degree: int, trunc: int,
             tau = tau.compose(step.tau)
     for step in reversed(trace.steps):
         if not isinstance(step, ReparamStep):
-            phi = phi.compose(_jet_of(step).jet, degree)
+            phi = phi.compose(step.phi.jet, degree)
     return DiffeoJet(phi), tau
 
 

@@ -16,7 +16,7 @@ from mtower.invariants import (multiplicity, poly_on_curve, semigroup,
 from mtower.jets import PolyJet3, integer_poly
 from mtower.normalize import (JetStep, Reduction, ReductionTrace, ReparamStep,
                               ScaleStep, TraceEntry, _compose_trace,
-                              _removal_jet, apply_certificate, apply_step,
+                              _removal_jet, apply_certificate,
                               equivalence_search, kill_semigroup_terms,
                               monomialize_first, reduce_catalog,
                               scale_normalize, zariski_step)
@@ -383,6 +383,31 @@ def test_reduce_messy_rvt_curve():
     assert result.normal_form == (3, 4, 5)
 
 
+# -- known defects: direction G (standard position) mends both, and must unmark these
+
+@pytest.mark.xfail(strict=True, reason="defect 7: no stage puts a curve in "
+                   "standard position (direction G)")
+@pytest.mark.parametrize("comps, normal_form", [
+    (({3: 1}, {7: 1}, {5: 1}), (3, 5, 7)),
+    (({2: 1}, {4: 1}, {5: 1}), (2, 5, None)),
+    (({2: 1}, {}, {5: 1}), (2, 5, None)),
+])
+def test_reduce_puts_a_catalog_curve_in_standard_position(comps, normal_form):
+    result = reduce_catalog(curve(*comps, trunc=24))
+    assert result.status == "reduced"
+    assert result.normal_form == normal_form
+
+
+@pytest.mark.xfail(strict=True, reason="defect 6: term removal goes past a "
+                   "singular step and grows coefficients (direction G)")
+def test_reduce_strips_a_component_that_is_a_power_of_the_first():
+    c = curve({1: F(1, 3), 2: F(-2, 7)}, {2: 1}, {}, trunc=16)
+    result = reduce_catalog(c)
+    assert result.status == "reduced"
+    assert result.normal_form == (1, None, None)
+    assert result.notes == ()
+
+
 # -- equivalence search ----------------------------------------------------------------
 
 def test_equivalence_identity_certificate():
@@ -526,10 +551,10 @@ def naive_compose(outer: PolyJet3, inner: PolyJet3, degree: int) -> PolyJet3:
                                min_size=1, max_size=6))
 @settings(max_examples=40, deadline=None)
 def test_steps_sharing_a_power_table_match_each_step_alone(c, sequence):
-    # one power table for the whole sequence, as in replay and Reduction.push
-    powers = [[], [], []]
-    cur = c
+    # one Reduction, so one power table, for the whole sequence
+    r = Reduction(c)
     for step in sequence:
+        cur = r.curve
         removed = None
         if isinstance(step, tuple):
             component, witness, scale = step
@@ -545,10 +570,11 @@ def test_steps_sharing_a_power_table_match_each_step_alone(c, sequence):
         else:
             want = cur.map_jet(step.phi.jet)
             assert want == naive_map(step.phi.jet, cur)
-        alone = apply_step(cur, step)
-        cur = apply_step(cur, step, powers)
-        assert cur == alone == want  # coefficients and truncations
-        assert removed is None or removed == cur
+        alone = Reduction(cur)
+        alone.push(step)
+        r.push(step)
+        assert r.curve == alone.curve == want  # coefficients and truncations
+        assert removed is None or removed == r.curve
 
 
 @given(st.lists(trace_steps, min_size=1, max_size=6), st.integers(1, 8),
@@ -620,10 +646,9 @@ def test_jet_steps_go_through_map_jet_and_compose(monkeypatch):
     assert composed[0][0] == PolyJet3.identity(8)
 
 
-def test_every_stage_shares_one_power_table(monkeypatch):
-    # scale_normalize, monomialize_first and kill_semigroup_terms all make
-    # jet steps on this curve, and all of them on one Reduction
-    c = curve({3: 2, 4: 1}, {5: 1, 6: 1}, {7: 3}, trunc=24)
+def _map_jet_tables(monkeypatch):
+    """Wrap CurveGerm.map_jet; the returned list collects the ``powers``
+    argument of each call."""
     original = CurveGerm.map_jet
     tables = []
 
@@ -632,10 +657,30 @@ def test_every_stage_shares_one_power_table(monkeypatch):
         return original(self, jet, powers)
 
     monkeypatch.setattr(CurveGerm, "map_jet", map_jet)
-    result = reduce_catalog(c)
-    jet_steps = [step for step in result.trace.steps
+    return tables
+
+
+def _assert_one_table(tables, trace):
+    jet_steps = [step for step in trace.steps
                  if not isinstance(step, ReparamStep)]
     assert {type(step) for step in jet_steps} == {JetStep, ScaleStep}
     assert len(tables) == len(jet_steps)
     assert tables[0] is not None
     assert all(table is tables[0] for table in tables)
+
+
+def test_every_stage_shares_one_power_table(monkeypatch):
+    # scale_normalize, monomialize_first and kill_semigroup_terms all make
+    # jet steps on this curve, and all of them on one Reduction
+    c = curve({3: 2, 4: 1}, {5: 1, 6: 1}, {7: 3}, trunc=24)
+    tables = _map_jet_tables(monkeypatch)
+    result = reduce_catalog(c)
+    _assert_one_table(tables, result.trace)
+
+
+def test_replay_shares_one_power_table(monkeypatch):
+    c = curve({3: 2, 4: 1}, {5: 1, 6: 1}, {7: 3}, trunc=24)
+    result = reduce_catalog(c)
+    tables = _map_jet_tables(monkeypatch)
+    assert result.trace.replay(c) == result.curve
+    _assert_one_table(tables, result.trace)

@@ -11,8 +11,8 @@ from .curves import CurveGerm, monomial_curve
 from .diffeo import (DiffeoJet, fiber_action, isotropy_check, prolong_apply,
                      taylor_constraints)
 from .errors import DomainError, InsufficientTruncation, MTError
-from .invariants import (ArnoldSymbol, Semigroup, arnold_symbol, multiplicity,
-                         planarity, semigroup, well_parameterized)
+from .invariants import (Semigroup, multiplicity, planarity, semigroup,
+                         well_parameterized)
 from .jets import PolyJet3
 from .normalize import (Certificate, Reduction, ReductionTrace,
                         equivalence_search, kill_semigroup_terms,
@@ -31,9 +31,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CurveGerm", "monomial_curve", "DiffeoJet", "fiber_action",
     "isotropy_check", "prolong_apply", "taylor_constraints", "DomainError",
-    "InsufficientTruncation", "MTError", "ArnoldSymbol", "Semigroup",
-    "arnold_symbol", "multiplicity", "planarity", "semigroup",
-    "well_parameterized", "PolyJet3", "Certificate", "Reduction",
+    "InsufficientTruncation", "MTError", "Semigroup", "multiplicity",
+    "planarity", "semigroup", "well_parameterized", "PolyJet3",
+    "Certificate", "Reduction",
     "ReductionTrace", "equivalence_search", "kill_semigroup_terms",
     "monomialize_first", "reduce_catalog", "scale_normalize", "zariski_step",
     "DEFAULT_TRUNC", "TruncSeries", "CriticalHyperplane", "TowerPoint", "classify_direction",

@@ -1,9 +1,9 @@
 """Diffeomorphism invariants of curve germs.
 
-Multiplicity, the value semigroup with certifying witness polynomials, the
-Arnol'd-style symbol of monomial-like germs, and a bounded planarity
-decision by exact rational linear algebra. Every verdict is certified only
-up to its stated bound; nothing is extrapolated past the truncation.
+Multiplicity, the value semigroup with certifying witness polynomials, and
+a bounded planarity decision by exact rational linear algebra. Every verdict
+is certified only up to its stated bound; nothing is extrapolated past the
+truncation.
 """
 
 from __future__ import annotations
@@ -218,67 +218,6 @@ def semigroup(c: CurveGerm, bound: int = DEFAULT_SEMIGROUP_BOUND) -> Semigroup:
     witnesses = {e: poly_scaled_sum([(1, (wit, 1))], den)
                  for e, (_, wit, den) in pivots.items()}
     return Semigroup(elements, gaps, bound, conductor, witnesses, orders)
-
-
-# -- Arnol'd symbol -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ArnoldSymbol:
-    """Shape [m,n], [m,n,p] or [m,(n,p)] of a monomial-like germ."""
-
-    kind: str  # "two", "three", "paired"
-    m: int
-    n: int
-    p: int | None = None
-
-    def __str__(self) -> str:
-        if self.kind == "two":
-            return f"[{self.m},{self.n}]"
-        if self.kind == "three":
-            return f"[{self.m},{self.n},{self.p}]"
-        return f"[{self.m},({self.n},{self.p})]"
-
-
-def arnold_symbol(c: CurveGerm) -> ArnoldSymbol:
-    """Detect the symbol from the exponent support of the components.
-
-    Components are taken in increasing order of their leading exponents;
-    coefficients are irrelevant (scalings are equivalences). Shapes outside
-    the three recognized ones are refused.
-    """
-    comps = sorted((s for s in c.components if not s.is_zero()),
-                   key=lambda s: s.order())
-    if len(comps) < 2:
-        raise DomainError("no symbol detected within truncation")
-    supports = [sorted(d for d, _ in s.terms()) for s in comps]
-    m = supports[0][0]
-    n = supports[1][0]
-    if not m < n:
-        raise DomainError("no symbol detected within truncation")
-    if len(comps) == 3:
-        p = supports[2][0]
-        if n < p and _clean_through(supports[0], p, {m}) \
-                and _clean_through(supports[1], p, {n}) \
-                and _clean_through(supports[2], p, {p}):
-            return ArnoldSymbol("three", m, n, p)
-        raise DomainError("no symbol detected within truncation")
-    second = supports[1]
-    extras = [d for d in second if d != n]
-    if not extras:
-        if _clean_through(supports[0], n, {m}):
-            return ArnoldSymbol("two", m, n)
-        raise DomainError("no symbol detected within truncation")
-    p = extras[0]
-    if _clean_through(supports[0], p, {m}) and _clean_through(second, p, {n, p}):
-        return ArnoldSymbol("paired", m, n, p)
-    if _clean_through(supports[0], n, {m}) and all(d > n for d in extras):
-        return ArnoldSymbol("two", m, n)
-    raise DomainError("no symbol detected within truncation")
-
-
-def _clean_through(support: Iterable[int], limit: int, allowed: set[int]) -> bool:
-    return all(d in allowed or d > limit for d in support)
 
 
 # -- planarity ------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used there or exported,
-and every private top-level function or class is referenced in the package.
+every private top-level function or class is referenced in the package, and
+every name a public ``__all__`` lists exists there, once.
 
 Each ``src/mtower/*.py`` other than ``__init__.py`` is parsed with ``ast``;
 an imported name counts as used when it appears as a name in the module's
@@ -10,6 +11,7 @@ decorator such as ``cli._verb`` registers it).
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -72,3 +74,14 @@ def test_every_private_definition_is_referenced():
         and node.name.startswith("_") and not node.name.startswith("__")
         and not node.decorator_list and node.name not in referenced]
     assert not unreferenced, f"private definitions nothing uses: {unreferenced}"
+
+
+@pytest.mark.parametrize("module", ["mtower", "mtower.formats"])
+def test_every_exported_name_exists_once(module):
+    # a stale entry leaves ``import`` working but breaks ``import *``
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ lists names it lacks: {missing}"
+    repeated = sorted({name for name in mod.__all__
+                       if mod.__all__.count(name) > 1})
+    assert not repeated, f"{module}.__all__ lists names twice: {repeated}"

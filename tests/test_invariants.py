@@ -1,4 +1,4 @@
-"""Multiplicity, semigroups, symbols, planarity."""
+"""Multiplicity, semigroups, planarity."""
 
 import random
 from dataclasses import replace
@@ -16,9 +16,9 @@ from mtower.catalog import NORMAL_FORMS
 from mtower.curves import CurveGerm, monomial_curve
 from mtower.diffeo import sample_diffeo
 from mtower.errors import DomainError, InsufficientTruncation
-from mtower.invariants import (_cleared, _monomials_within, arnold_symbol,
-                               multiplicity, planarity, poly_on_curve,
-                               semigroup, well_parameterized)
+from mtower.invariants import (_cleared, _monomials_within, multiplicity,
+                               planarity, poly_on_curve, semigroup,
+                               well_parameterized)
 from mtower.jets import PolyJet3, integer_poly
 from mtower.series import TruncSeries
 
@@ -50,6 +50,18 @@ def test_curve_vanishing_up_to_truncation_is_a_shortfall():
         multiplicity(c)
     with pytest.raises(InsufficientTruncation):
         well_parameterized(c)
+
+
+@pytest.mark.xfail(strict=True, reason="defect 9: the exponent gcd is read off "
+                   "the given parameterization, not after the first component "
+                   "is made t^m")
+def test_well_parameterized_survives_a_reparametrization():
+    # t -> t + t^2 hides the double cover (t^2, t^4, 0) of a smooth germ
+    c = curve({2: 1}, {4: 1}, {}, trunc=24)
+    moved = c.reparametrize(TruncSeries({1: 1, 2: 1}, 24))
+    assert not well_parameterized(moved)
+    with pytest.raises(DomainError):
+        semigroup(moved, 16)
 
 
 # -- semigroup -------------------------------------------------------------------
@@ -233,26 +245,6 @@ def test_semigroup_matches_fraction_elimination(c, bound):
     assert s.witnesses == {e: integer_poly(w) for e, w in witnesses.items()}
     assert all(type(x) is int for num, _ in s.witnesses.values()
                for x in num.values())
-
-
-# -- Arnol'd symbol ---------------------------------------------------------------
-
-def test_symbol_of_monomial_space_curve():
-    assert str(arnold_symbol(monomial_curve(3, 5, 7))) == "[3,5,7]"
-
-
-def test_symbol_of_cusp():
-    assert str(arnold_symbol(monomial_curve(2, 3, None))) == "[2,3]"
-
-
-def test_symbol_with_paired_exponents():
-    c = curve({3: 1}, {5: 1, 7: 1}, {})
-    assert str(arnold_symbol(c)) == "[3,(5,7)]"
-
-
-def test_symbol_detection_failure():
-    with pytest.raises(DomainError):
-        arnold_symbol(curve({3: 1, 4: 1}, {3: 1}, {}))
 
 
 # -- planarity ---------------------------------------------------------------------

@@ -37,12 +37,12 @@ class CurveGerm:
         return all(s.is_zero() for s in self.components)
 
     def map_jet(self, jet: PolyJet3,
-                powers: list[list[TruncSeries]] | None = None) -> "CurveGerm":
-        """Post-compose with a jet fixing the origin; ``powers`` is passed
+                products: dict | None = None) -> "CurveGerm":
+        """Post-compose with a jet fixing the origin; ``products`` is passed
         on to :meth:`PolyJet3.substitute`."""
         if any(c != 0 for c in jet.constant_term()):
             raise DomainError("jet must fix the origin to act on curve germs")
-        nx, ny, nz = jet.substitute(self.x, self.y, self.z, powers)
+        nx, ny, nz = jet.substitute(self.x, self.y, self.z, products)
         return CurveGerm(nx, ny, nz)
 
     def reparametrize(self, tau: TruncSeries) -> "CurveGerm":

@@ -108,11 +108,11 @@ def _order_decomposition(target: int,
 
 
 def poly_on_curve(poly: IntPoly, c: CurveGerm,
-                  powers: list[list[TruncSeries]] | None = None) -> TruncSeries:
+                  products: dict[Mono, TruncSeries] | None = None) -> TruncSeries:
     """Compose a polynomial in (x, y, z), in integer form, with the curve;
-    ``powers`` keeps the powers of its components as in
+    ``products`` keeps the monomial products of its components as in
     :func:`jets.evaluate_polys`."""
-    return next(evaluate_polys([poly], *on_series(*c.components), powers=powers))
+    return next(evaluate_polys([poly], *on_series(*c.components), products=products))
 
 
 def _monomials_within(orders: Sequence[int | None], bound: int) -> list[Mono]:

@@ -12,7 +12,6 @@ these are the raw moves behind the prolonged action of diffeomorphism germs.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -115,48 +114,56 @@ def monomials(degree: int) -> list[Mono]:
 def evaluate_polys(polys: Iterable[IntPoly],
                    images: Sequence[T], one: T, mul: Callable[[T, T], T],
                    scaled_sum: Callable[[Iterator[tuple[int, T]], int], T],
-                   powers: list[list[T]] | None = None) -> Iterator[T]:
+                   products: dict[Mono, T] | None = None) -> Iterator[T]:
     """Evaluate each polynomial at (x, y, z) = ``images``, one result per polynomial.
 
-    The polynomials are in integer form (:func:`integer_poly`). ``one`` is the
-    images' unit, ``mul`` their truncated product and ``scaled_sum(terms,
-    den)`` adds up the (integer numerator, term) pairs and divides by the
-    polynomial's denominator once. Every power of an axis is computed once
-    and shared by all the polynomials; the polynomials are read and
-    evaluated lazily, one at a time. A polynomial that is one axis alone
-    (coefficient 1, denominator 1) yields that axis's image itself.
+    The polynomials are in integer form (:func:`integer_poly`), read and
+    evaluated lazily. ``one`` is the images' unit, ``mul`` their truncated
+    product and ``scaled_sum(terms, den)`` adds up the (integer numerator,
+    term) pairs and divides by the polynomial's denominator once.
 
-    The powers last for this call, or, in a loop of series substitutions at
-    one truncation, as long as the caller keeps ``powers``: a table of one
-    list per axis (empty at first) that holds the powers of that axis's
-    image between calls. A list is restarted whenever its axis's image is
-    not the same object as before; since an identity component passes its
-    image through, a loop that feeds each call the results of the last keeps
-    the powers of the axes a step leaves in place."""
-    if powers is None:
-        powers = [[one, image] for image in images]
-    else:
-        for cached, image in zip(powers, images):
-            if len(cached) < 2 or cached[1] is not image:
-                cached[:] = [one, image]
+    Each monomial's product is made once and kept in ``products``, for this
+    call or, in a loop of series substitutions at one truncation, for as
+    long as the caller keeps the dict (empty at first). x^a y^b z^c is the
+    kept x^a y^b times the kept z^c, and a power is the next lower power
+    times the image. An axis's own entry is its image; when an image is not
+    that object, every entry with that axis in it goes. A polynomial that is
+    one monomial (coefficient 1, denominator 1) yields that product itself,
+    kept only if it is a power, so a lone axis passes its image through and
+    the products of the axes a step leaves in place outlast the step."""
+    products = {} if products is None else products
+    for axis, (unit, image) in enumerate(zip(_AXES, images)):
+        if products.get(unit) is not image:
+            for mono in [m for m in products if m[axis]]:
+                del products[mono]
+            products[unit] = image
 
-    def power(axis: int, n: int) -> T:
-        cached = powers[axis]
-        while len(cached) <= n:
-            cached.append(mul(cached[-1], images[axis]))
-        return cached[n]
-
-    def term(mono: Mono) -> T:
-        factors = [power(axis, n) for axis, n in enumerate(mono) if n]
-        return reduce(mul, factors) if factors else one
+    def product(mono: Mono, keep: bool = True) -> T:
+        if mono in products or not any(mono):
+            return products.get(mono, one)
+        last = 2 if mono[2] else 1 if mono[1] else 0
+        head, power = mono[:last] + _ZERO[last:], _ZERO[:last] + mono[last:]
+        if any(head):
+            value = mul(product(head), product(power))
+            if keep:
+                products[mono] = value
+            return value
+        # a power of one axis: multiply up, by a loop, from the highest kept
+        # power of that axis
+        missing = []
+        while mono not in products:
+            missing.append(mono)
+            mono = _ZERO[:last] + (mono[last] - 1,) + _ZERO[last + 1:]
+        value = products[mono]
+        for mono in reversed(missing):
+            value = products[mono] = mul(value, images[last])
+        return value
 
     for num, den in polys:
-        if den == 1 and len(num) == 1:
-            (mono, x), = num.items()
-            if x == 1 and sum(mono) == 1:
-                yield images[mono.index(1)]
-                continue
-        yield scaled_sum(((x, term(mono)) for mono, x in num.items()), den)
+        if den == 1 and list(num.values()) == [1]:
+            yield product(*num, keep=False)
+        else:
+            yield scaled_sum(((x, product(mono)) for mono, x in num.items()), den)
 
 
 def on_series(sx: TruncSeries, sy: TruncSeries, sz: TruncSeries) -> tuple:
@@ -265,8 +272,7 @@ class PolyJet3:
     # -- operations ---------------------------------------------------------
 
     def compose(self, inner: "PolyJet3", degree: int | None = None) -> "PolyJet3":
-        """self after inner, truncated at total degree ``degree``; the powers
-        of inner's components last for this call only."""
+        """self after inner, truncated at total degree ``degree``."""
         if not (self._fixes_origin() and inner._fixes_origin()):
             raise DomainError("jet composition requires both jets to fix the origin")
         deg = degree if degree is not None else min(self._degree, inner._degree)
@@ -280,27 +286,24 @@ class PolyJet3:
             poly_scaled_sum), deg)
 
     def substitute(self, sx: TruncSeries, sy: TruncSeries, sz: TruncSeries,
-                   powers: list[list[TruncSeries]] | None = None
+                   products: dict[Mono, TruncSeries] | None = None
                    ) -> tuple[TruncSeries, TruncSeries, TruncSeries]:
-        """Evaluate the jet on a triple of series vanishing at 0; ``powers``
-        keeps the powers of the series as in :func:`evaluate_polys`, for one
-        truncation."""
+        """Evaluate the jet on a triple of series vanishing at 0; ``products``
+        keeps the monomial products of the series as in
+        :func:`evaluate_polys`, for one truncation."""
         # every series vanishes at 0, so a monomial of total degree above
         # their common truncation only reaches orders above it
         trunc = min(sx.trunc, sy.trunc, sz.trunc)
         comps = (_truncated(comp, trunc) for comp in self._comps)
-        x, y, z = evaluate_polys(comps, *on_series(sx, sy, sz), powers=powers)
+        x, y, z = evaluate_polys(comps, *on_series(sx, sy, sz), products=products)
         return x, y, z
 
     def inverse(self, degree: int | None = None) -> "PolyJet3":
-        """Compositional inverse up to the jet degree.
-
-        A fixed-point iteration: starting from the inverse of the linear
-        part L, the pass for total degree k replaces psi by
-        psi - L^-1(self(psi) - id), computed through degree k, which makes
-        psi exact through degree k. Requires an invertible linear part and
-        zero constant term.
-        """
+        """Compositional inverse up to the jet degree, for an invertible
+        linear part and zero constant term. From the inverse of the linear
+        part, each pass sets psi to psi o (2 id - self o psi), which doubles
+        the degree through which psi is exact (Brent and Kung's reversion
+        step), so degree D takes ceil(log2 D) passes."""
         m = self.linear_part()
         # the adjugate, and the determinant expanded along the first row
         adj = [[_cofactor(m, i, j) for i in range(3)] for j in range(3)]
@@ -310,13 +313,13 @@ class PolyJet3:
         if not self._fixes_origin():
             raise DomainError("jet inverse requires a jet fixing the origin")
         deg = degree if degree is not None else self._degree
-        linv = psi = PolyJet3.from_linear([[v / det for v in row] for row in adj], deg)
-        for k in range(2, deg + 1):
-            delta = [poly_scaled_sum([(1, comp), (-1, ({axis: 1}, 1))], 1)
-                     for comp, axis in zip(self.compose(psi, k)._comps, _AXES)]
-            corr = linv.compose(jet_from_polys(delta, k), k)._comps
-            psi = jet_from_polys([poly_scaled_sum([(1, p), (-1, c)], 1)
-                                  for p, c in zip(psi._comps, corr)], k)
+        psi = PolyJet3.from_linear([[v / det for v in row] for row in adj], deg)
+        exact = 1
+        while exact < deg:
+            exact = min(2 * exact, deg)
+            step = [poly_scaled_sum([(2, ({axis: 1}, 1)), (-1, comp)], 1)
+                    for comp, axis in zip(self.compose(psi, exact)._comps, _AXES)]
+            psi = psi.compose(jet_from_polys(step, exact), exact)
         return psi
 
 

@@ -99,17 +99,17 @@ class ReductionTrace:
 
 class Reduction:
     """A curve under reduction: the current curve, the trace of the steps
-    that led to it, the notes on what was left undone, and one table of axis
-    powers (see :meth:`CurveGerm.map_jet`) that every step shares, so the
-    components a step leaves in place keep their powers. Each stage below
-    extends a reduction in place, and :meth:`ReductionTrace.replay` pushes
-    the recorded steps on a fresh one."""
+    that led to it, the notes on what was left undone, and one table of
+    monomial products (see :func:`jets.evaluate_polys`) that every step and
+    witness shares, so the components a step leaves in place keep their
+    products. Each stage below extends a reduction in place, and
+    :meth:`ReductionTrace.replay` pushes the recorded steps on a fresh one."""
 
     def __init__(self, start: CurveGerm):
         self.curve = start
         self.entries: list[TraceEntry] = []
         self.notes: list[str] = []
-        self.powers: list[list] = [[], [], []]
+        self.products: dict = {}
 
     def push(self, step: Step) -> None:
         """Apply ``step`` to the current curve and record it."""
@@ -117,7 +117,7 @@ class Reduction:
         if isinstance(step, ReparamStep):
             self.curve = before.reparametrize(step.tau)
         else:
-            self.curve = before.map_jet(step.phi.jet, self.powers)
+            self.curve = before.map_jet(step.phi.jet, self.products)
         self.entries.append(TraceEntry(step, before, self.curve))
 
     @property
@@ -243,11 +243,11 @@ def kill_semigroup_terms(r: Reduction, s: Semigroup) -> None:
             cur = r.curve
             # the semigroup itself is invariant under these moves; only the
             # witnesses can go stale as the curve changes
-            composed = poly_on_curve(witness, cur, r.powers)
+            composed = poly_on_curve(witness, cur, r.products)
             if composed.order() != d:
                 current_sg = semigroup(cur, bound)
                 witness = current_sg.witness_for(d)
-                composed = poly_on_curve(witness, cur, r.powers)
+                composed = poly_on_curve(witness, cur, r.products)
                 if composed.order() != d:
                     raise AssertionError(f"fresh witness for {d} has the wrong order")
             scale = cur.components[idx].coefficient(d) / composed.coefficient(d)

@@ -441,22 +441,18 @@ class TruncSeries:
     def param_inverse(self) -> "TruncSeries":
         """Compositional inverse of an order-1 series.
 
-        Newton iteration with doubling precision; the round trip
-        ``self.compose(inverse)`` is the identity up to truncation.
+        Each pass replaces g by g o (2t - self o g), which doubles the order
+        through which g is exact (Brent and Kung's reversion step); the round
+        trip ``self.compose(inverse)`` is the identity up to truncation.
         """
         if self.order() != 1:
             raise DomainError("param_inverse requires a series of order exactly 1")
-        trunc = self._trunc
         g = TruncSeries({1: 1 / self.coefficient(1)}, 1)
-        prec = 1
-        t = TruncSeries({1: 1}, trunc)
-        ds = self.derivative()
-        while prec < trunc:
-            prec = min(2 * prec, trunc)
+        while g._trunc < self._trunc:
+            prec = min(2 * g._trunc, self._trunc)
+            # read g as the polynomial it is: zero, not unknown, past its trunc
             g = _series(g._num, g._den, prec)
-            err = self.restrict(prec).compose(g) - t.restrict(prec)
-            corr = err * ds.restrict(max(prec - 1, 0)).compose(g).reciprocal()
-            g = (g - corr).restrict(prec)
+            g = g.compose(TruncSeries({1: 2}, prec) - self.restrict(prec).compose(g))
         return g
 
 

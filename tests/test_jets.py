@@ -1,6 +1,8 @@
 """Polynomial jet composition, substitution and inversion."""
 
+import random
 from fractions import Fraction
+from math import ceil, log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,9 @@ from sympy.polys.rings import ring
 
 from mtower.curves import monomial_curve
 from mtower.errors import DomainError
-from mtower.jets import PolyJet3, jet_from_obj, jet_to_obj, monomials
+from mtower.jets import (PolyJet3, _poly_mul, evaluate_polys, integer_poly,
+                         jet_from_obj, jet_to_obj, monomials, on_series,
+                         poly_scaled_sum)
 from mtower.series import TruncSeries
 
 F = Fraction
@@ -263,3 +267,152 @@ def test_halves_written_two_ways_are_one_jet():
     b = PolyJet3([{X: F(1, 2)}, {Y: F(4, 4), (2, 0, 0): F(1, 2)}, {Z: F(4, 2)}], 3)
     assert a == b and hash(a) == hash(b)
     assert a.components[1] == {Y: F(1), (2, 0, 0): F(1, 2)}
+
+
+# -- the kept monomial products of evaluate_polys --------------------------------
+
+
+def seeded_polys(rng, degree, count, density):
+    """``count`` polynomials in integer form, each monomial of total degree
+    1..``degree`` present with probability ``density``, plus one lone axis,
+    one lone power and one lone mixed monomial."""
+    polys = [integer_poly({m: F(rng.randint(-9, 9), rng.randint(1, 4))
+                           for m in monomials(degree) if rng.random() < density})
+             for _ in range(count)]
+    return polys + [({Y: 1}, 1), ({(3, 0, 0): 1}, 1), ({(1, 1, 1): 1}, 1)]
+
+
+def seeded_series(rng, trunc):
+    return tuple(TruncSeries({d: F(rng.randint(-5, 5), rng.randint(1, 3))
+                              for d in range(1, trunc + 1) if rng.random() < 0.5}
+                             | {axis + 1: 1}, trunc) for axis in range(3))
+
+
+def on_jets(rng, degree):
+    """Arguments of evaluate_polys for substituting three dense jet
+    components fixing the origin, truncated at ``degree``."""
+    images = tuple(integer_poly({m: rng.randint(-3, 3) for m in monomials(2)}
+                                | {axis: 1}) for axis in (X, Y, Z))
+    return (images, ({(0, 0, 0): 1}, 1), lambda a, b: _poly_mul(a, b, degree),
+            poly_scaled_sum)
+
+
+def seeded_cases():
+    rng = random.Random(27)
+    for degree in (3, 4):
+        yield seeded_polys(rng, degree, 3, 0.7), on_jets(rng, degree)
+        yield seeded_polys(rng, degree, 3, 0.7), on_series(*seeded_series(rng, 12))
+
+
+def per_axis_reference(polys, images, one, mul, scaled_sum):
+    """Evaluation with one list of powers per axis, each monomial multiplied
+    out again for every polynomial that uses it."""
+    powers = [[one, image] for image in images]
+
+    def power(axis, n):
+        while len(powers[axis]) <= n:
+            powers[axis].append(mul(powers[axis][-1], images[axis]))
+        return powers[axis][n]
+
+    def term(mono):
+        factors = [power(axis, n) for axis, n in enumerate(mono) if n]
+        value = factors[0]
+        for factor in factors[1:]:
+            value = mul(value, factor)
+        return value
+
+    return [scaled_sum(((x, term(m)) for m, x in num.items()), den)
+            for num, den in polys]
+
+
+def naive_reference(polys, images, one, mul, scaled_sum):
+    """Each monomial built factor by factor from ``one``."""
+    def term(mono):
+        value = one
+        for image, n in zip(images, mono):
+            for _ in range(n):
+                value = mul(value, image)
+        return value
+
+    return [scaled_sum(((x, term(m)) for m, x in num.items()), den)
+            for num, den in polys]
+
+
+def counting(mul):
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return mul(a, b)
+    return counted, calls
+
+
+def test_evaluate_polys_matches_a_naive_reference():
+    for polys, (images, one, mul, scaled_sum) in seeded_cases():
+        got = list(evaluate_polys(polys, images, one, mul, scaled_sum))
+        assert got == naive_reference(polys, images, one, mul, scaled_sum)
+
+
+def test_evaluate_polys_makes_no_more_products_than_per_axis_powers():
+    fewer = 0
+    for polys, (images, one, mul, scaled_sum) in seeded_cases():
+        kept_mul, kept = counting(mul)
+        got = list(evaluate_polys(polys, images, one, kept_mul, scaled_sum))
+        ref_mul, ref = counting(mul)
+        assert got == per_axis_reference(polys, images, one, ref_mul, scaled_sum)
+        assert len(kept) <= len(ref)
+        fewer += len(kept) < len(ref)
+    # the polynomials share most monomials, so every case makes fewer
+    assert fewer == 4
+
+
+def test_a_replaced_image_drops_only_its_axis_products():
+    rng = random.Random(7)
+    polys = seeded_polys(rng, 4, 3, 0.7)
+    x, y, z = seeded_series(rng, 12)
+    products = {}
+    list(evaluate_polys(polys, *on_series(x, y, z), products=products))
+    before = dict(products)
+    assert any(m[1] and m != Y for m in before)
+    y2 = y + TruncSeries({2: 1}, 12)
+    # with no polynomial to evaluate, the call only brings the table up to date
+    list(evaluate_polys([], *on_series(x, y2, z), products=products))
+    assert products == {m: v for m, v in before.items() if not m[1]} | {Y: y2}
+    assert all(products[m] is v for m, v in before.items() if not m[1])
+    kept = list(evaluate_polys(polys, *on_series(x, y2, z), products=products))
+    assert kept == list(evaluate_polys(polys, *on_series(x, y2, z)))
+
+
+def test_a_lone_mixed_monomial_is_not_kept():
+    x, y, z = seeded_series(random.Random(3), 10)
+    products = {}
+    lone = [({(1, 1, 0): 1}, 1), ({(0, 2, 1): 1}, 1), ({(2, 0, 0): 1}, 1)]
+    xy, y2z, x2 = evaluate_polys(lone, *on_series(x, y, z), products=products)
+    assert (1, 1, 0) not in products and (0, 2, 1) not in products
+    # the powers are kept, and a lone power is the kept object itself
+    assert products[(2, 0, 0)] is x2 and (0, 2, 0) in products
+    assert xy == (x * y).restrict(10) and y2z == (y * y * z).restrict(10)
+
+
+def test_a_high_power_composes_without_deep_recursion():
+    jet = PolyJet3([{X: 1, (2500, 0, 0): 1}, {Y: 1}, {Z: 1}], 3000)
+    assert jet.compose(PolyJet3.identity(3000)) == jet
+
+
+def test_inverse_doubles_its_exact_degree_per_pass(monkeypatch):
+    original = PolyJet3.compose
+    calls = []
+
+    def compose(self, inner, degree=None):
+        calls.append(degree)
+        return original(self, inner, degree)
+
+    monkeypatch.setattr(PolyJet3, "compose", compose)
+    phi = PolyJet3([{X: 2, (0, 2, 0): 1}, {Y: 1, (2, 0, 0): F(1, 2)},
+                    {Z: F(1, 3), (1, 1, 0): -1, (0, 0, 3): 1}], 9)
+    for degree in (1, 2, 3, 5, 8, 9):
+        calls.clear()
+        inv = phi.inverse(degree)
+        # two compositions per pass, so a pass per degree is too many
+        assert len(calls) == 2 * ceil(log2(degree))
+        assert original(phi, inv, degree) == PolyJet3.identity(degree)

@@ -260,11 +260,11 @@ def restarting_kill(c: CurveGerm, s) -> Reduction:
         if pick is None:
             break
         d, idx, poly = pick
-        composed = poly_on_curve(poly, cur, r.powers)
+        composed = poly_on_curve(poly, cur, r.products)
         if composed.order() != d:
             current_sg = semigroup(cur, bound)
             poly = current_sg.witness_for(d)
-            composed = poly_on_curve(poly, cur, r.powers)
+            composed = poly_on_curve(poly, cur, r.products)
             if composed.order() != d:
                 raise AssertionError(f"fresh witness for {d} has the wrong order")
         scale = cur.components[idx].coefficient(d) / composed.coefficient(d)
@@ -685,14 +685,14 @@ def test_jet_steps_go_through_map_jet_and_compose(monkeypatch):
 
 
 def _map_jet_tables(monkeypatch):
-    """Wrap CurveGerm.map_jet; the returned list collects the ``powers``
+    """Wrap CurveGerm.map_jet; the returned list collects the ``products``
     argument of each call."""
     original = CurveGerm.map_jet
     tables = []
 
-    def map_jet(self, jet, powers=None):
-        tables.append(powers)
-        return original(self, jet, powers)
+    def map_jet(self, jet, products=None):
+        tables.append(products)
+        return original(self, jet, products)
 
     monkeypatch.setattr(CurveGerm, "map_jet", map_jet)
     return tables

@@ -1,6 +1,7 @@
 """Truncated-series arithmetic against independent oracles."""
 
 from fractions import Fraction
+from math import ceil, log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,7 +173,7 @@ def lagrange_reversion_oracle(s, trunc):
     """Compositional inverse coefficients from the Lagrange formula.
 
     g_n = (1/n) [t^(n-1)] (t / s(t))^n, entirely independent of the
-    Newton iteration used by the implementation.
+    doubling step used by the implementation.
     """
     coeffs = {}
     ratio = TruncSeries.monomial(1, 1, trunc + 1).divide(s)
@@ -199,6 +200,24 @@ def test_param_inverse_linear_correction():
 def test_param_inverse_matches_lagrange_oracle():
     s = poly((1, 2), (2, F(1, 3)), (4, F(-2, 5)), trunc=12)
     assert s.param_inverse() == lagrange_reversion_oracle(s, 12)
+
+
+def test_param_inverse_doubles_its_exact_order_per_pass(monkeypatch):
+    original = TruncSeries.compose
+    calls = []
+
+    def compose(self, inner):
+        calls.append(inner)
+        return original(self, inner)
+
+    monkeypatch.setattr(TruncSeries, "compose", compose)
+    for trunc in (1, 2, 3, 9, 16, 17):
+        s = poly((1, 3), (2, -1), (5, F(1, 2)), trunc=trunc)
+        calls.clear()
+        inv = s.param_inverse()
+        # two compositions per pass
+        assert len(calls) == 2 * ceil(log2(trunc))
+        assert inv == lagrange_reversion_oracle(s, trunc)
 
 
 def test_param_inverse_rejects_wrong_order():

@@ -205,7 +205,7 @@ def _exponent_str(c: CurveGerm) -> str:
         o = s.order()
         if o is None:
             parts.append("0")
-        elif s.terms() == [(o, Fraction(1))]:
+        elif s.numerators() == ({o: 1}, 1):
             parts.append(f"t^{o}")
         else:
             parts.append(f"t^{o}+...")

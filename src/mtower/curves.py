@@ -21,7 +21,7 @@ class CurveGerm:
 
     def __post_init__(self):
         for s in (self.x, self.y, self.z):
-            if s.coefficient(0) != 0:
+            if s.order() == 0:
                 raise DomainError("curve germs must vanish at t=0")
 
     @property
@@ -40,7 +40,7 @@ class CurveGerm:
                 products: dict | None = None) -> "CurveGerm":
         """Post-compose with a jet fixing the origin; ``products`` is passed
         on to :meth:`PolyJet3.substitute`."""
-        if any(c != 0 for c in jet.constant_term()):
+        if not jet.fixes_origin():
             raise DomainError("jet must fix the origin to act on curve germs")
         nx, ny, nz = jet.substitute(self.x, self.y, self.z, products)
         return CurveGerm(nx, ny, nz)

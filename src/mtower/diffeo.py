@@ -30,7 +30,7 @@ class DiffeoJet:
     jet: PolyJet3
 
     def __post_init__(self):
-        if any(c != 0 for c in self.jet.constant_term()):
+        if not self.jet.fixes_origin():
             raise DomainError("diffeomorphism germs must fix the origin")
         if self.jet.linear_det() == 0:
             raise DomainError("diffeomorphism jets need an invertible linear part")
@@ -51,9 +51,6 @@ class DiffeoJet:
     @property
     def degree(self) -> int:
         return self.jet.degree
-
-    def linear_part(self):
-        return self.jet.linear_part()
 
     def coefficient(self, component: int, mono: Mono) -> Fraction:
         """Taylor coefficient of x^i y^j z^k in one component.

@@ -39,11 +39,7 @@ def well_parameterized(c: CurveGerm) -> bool:
     """True when the exponents present have gcd 1 (no t -> t^d factoring)."""
     if c.is_constant():
         raise InsufficientTruncation("the curve vanishes up to truncation")
-    g = 0
-    for s in c.components:
-        for d, _ in s.terms():
-            g = gcd(g, d)
-    return g == 1
+    return gcd(*(d for s in c.components for d in s.numerators()[0])) == 1
 
 
 # -- value semigroup ---------------------------------------------------------
@@ -244,7 +240,7 @@ class PlanarityVerdict:
 def _subtract_scaled(target: dict, factor: Fraction, source: Mapping) -> None:
     """target -= factor * source, dropping entries that become zero."""
     for key, coeff in source.items():
-        value = target.get(key, Fraction(0)) - factor * coeff
+        value = target.get(key, 0) - factor * coeff
         if value == 0:
             target.pop(key, None)
         else:

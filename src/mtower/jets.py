@@ -12,11 +12,11 @@ these are the raw moves behind the prolonged action of diffeomorphism germs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import DomainError
-from .series import (Rational, TruncSeries, _as_fraction, format_rational,
+from .series import (Rational, TruncSeries, format_rational, integer_form,
                      linear_combination, parse_integer, parse_key, parse_rational)
 
 Mono = tuple[int, int, int]
@@ -37,20 +37,19 @@ def integer_poly(table: Mapping[Mono, Rational],
                  degree: int | None = None) -> IntPoly:
     """``table`` in canonical integer form, without the monomials of total
     degree above ``degree``."""
-    fractions: PolyTable = {}
+    return integer_form(_through(table, degree))
+
+
+def _through(table: Mapping[Mono, Rational],
+             degree: int | None) -> Iterator[tuple[Mono, Rational]]:
+    """The pairs of ``table`` through total degree ``degree``, each monomial
+    checked first."""
     for mono, value in table.items():
         i, j, k = mono
         if i < 0 or j < 0 or k < 0:
             raise DomainError("monomial exponents must be non-negative")
-        if degree is not None and i + j + k > degree:
-            continue
-        q = _as_fraction(value)
-        if q != 0:
-            fractions[(i, j, k)] = q
-    # lowest-terms coefficients over their lcm already have content 1
-    den = lcm(*(q.denominator for q in fractions.values()))
-    return ({m: q.numerator * (den // q.denominator) for m, q in fractions.items()},
-            den)
+        if degree is None or i + j + k <= degree:
+            yield (i, j, k), value
 
 
 def _canonical(num: dict[Mono, int], den: int) -> IntPoly:
@@ -170,7 +169,7 @@ def on_series(sx: TruncSeries, sy: TruncSeries, sz: TruncSeries) -> tuple:
     """Arguments of :func:`evaluate_polys` for substituting three series
     vanishing at 0; results are known through their common truncation."""
     for s in (sx, sy, sz):
-        if s.known(0) and s.coefficient(0) != 0:
+        if s.order() == 0:
             raise DomainError("curve substitution requires series vanishing at 0")
     trunc = min(sx.trunc, sy.trunc, sz.trunc)
     return ((sx.restrict(trunc), sy.restrict(trunc), sz.restrict(trunc)),
@@ -203,20 +202,12 @@ class PolyJet3:
 
     @classmethod
     def identity(cls, degree: int = 8) -> "PolyJet3":
-        return cls([{_AXES[i]: 1} for i in range(3)], degree)
+        return cls.diagonal(1, 1, 1, degree)
 
     @classmethod
     def diagonal(cls, a: Rational, b: Rational, c: Rational,
                  degree: int = 8) -> "PolyJet3":
         return cls([{_AXES[0]: a}, {_AXES[1]: b}, {_AXES[2]: c}], degree)
-
-    @classmethod
-    def from_linear(cls, matrix: Sequence[Sequence[Rational]],
-                    degree: int = 8) -> "PolyJet3":
-        comps = []
-        for row in matrix:
-            comps.append({_AXES[j]: row[j] for j in range(3)})
-        return cls(comps, degree)
 
     # -- queries ----------------------------------------------------------
 
@@ -242,19 +233,16 @@ class PolyJet3:
         num, den = self._comps[component - 1]
         return Fraction(num.get(mono, 0), den)
 
-    def constant_term(self) -> tuple[Fraction, Fraction, Fraction]:
-        return tuple(Fraction(num.get(_ZERO, 0), den)  # type: ignore[return-value]
-                     for num, den in self._comps)
-
-    def linear_part(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(num.get(axis, 0), den) for axis in _AXES)
-                     for num, den in self._comps)
+    def _linear_numerators(self) -> list[list[int]]:
+        """The linear part's numerators N, row i over component i's denominator."""
+        return [[num.get(axis, 0) for axis in _AXES] for num, _ in self._comps]
 
     def linear_det(self) -> Fraction:
-        m = self.linear_part()
-        return sum(m[0][j] * _cofactor(m, 0, j) for j in range(3))
+        """The determinant of the linear part, det(N) / (d1 d2 d3)."""
+        return Fraction(_det(self._linear_numerators()), prod(d for _, d in self._comps))
 
-    def _fixes_origin(self) -> bool:
+    def fixes_origin(self) -> bool:
+        """True when every constant term is zero."""
         return all(_ZERO not in num for num, _ in self._comps)
 
     def __eq__(self, other: object) -> bool:
@@ -273,7 +261,7 @@ class PolyJet3:
 
     def compose(self, inner: "PolyJet3", degree: int | None = None) -> "PolyJet3":
         """self after inner, truncated at total degree ``degree``."""
-        if not (self._fixes_origin() and inner._fixes_origin()):
+        if not (self.fixes_origin() and inner.fixes_origin()):
             raise DomainError("jet composition requires both jets to fix the origin")
         deg = degree if degree is not None else min(self._degree, inner._degree)
         if deg < 1:
@@ -303,17 +291,23 @@ class PolyJet3:
         linear part and zero constant term. From the inverse of the linear
         part, each pass sets psi to psi o (2 id - self o psi), which doubles
         the degree through which psi is exact (Brent and Kung's reversion
-        step), so degree D takes ceil(log2 D) passes."""
-        m = self.linear_part()
-        # the adjugate, and the determinant expanded along the first row
-        adj = [[_cofactor(m, i, j) for i in range(3)] for j in range(3)]
-        det = sum(m[0][j] * adj[j][0] for j in range(3))
+        step), so degree D takes ceil(log2 D) passes. The linear part is
+        N with row i over the denominator d_i, so psi starts at
+        adj(N) diag(d) / det(N), all in integers."""
+        n = self._linear_numerators()
+        det = _det(n)
         if det == 0:
             raise DomainError("jet has singular linear part; no inverse")
-        if not self._fixes_origin():
+        if not self.fixes_origin():
             raise DomainError("jet inverse requires a jet fixing the origin")
         deg = degree if degree is not None else self._degree
-        psi = PolyJet3.from_linear([[v / det for v in row] for row in adj], deg)
+        if deg < 1:
+            raise DomainError("jet degree must be at least 1")
+        sign = 1 if det > 0 else -1
+        psi = jet_from_polys([_canonical(
+            {axis: sign * _cofactor(n, i, j) * den
+             for i, (axis, (_, den)) in enumerate(zip(_AXES, self._comps))},
+            abs(det)) for j in range(3)], deg)
         exact = 1
         while exact < deg:
             exact = min(2 * exact, deg)
@@ -323,12 +317,17 @@ class PolyJet3:
         return psi
 
 
-def _cofactor(m: Sequence[Sequence[Fraction]], i: int, j: int) -> Fraction:
+def _cofactor(m: Sequence[Sequence[int]], i: int, j: int) -> int:
     """The signed cofactor of entry (i, j) of a 3x3 matrix: with indices
     taken cyclically, the 2x2 minor of the next two rows and columns carries
     its sign already."""
     r1, r2, c1, c2 = (i + 1) % 3, (i + 2) % 3, (j + 1) % 3, (j + 2) % 3
     return m[r1][c1] * m[r2][c2] - m[r1][c2] * m[r2][c1]
+
+
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """The determinant of a 3x3 matrix, expanded along the first row."""
+    return sum(m[0][j] * _cofactor(m, 0, j) for j in range(3))
 
 
 def jet_from_obj(obj: Mapping[str, Mapping[str, str]] | Mapping[str, object]) -> PolyJet3:

@@ -143,7 +143,7 @@ def monomialize_first(r: Reduction) -> None:
     if lead != 1:
         r.push(ScaleStep((1 / lead, Fraction(1), Fraction(1))))
     unit = r.curve.x.shift(-m)
-    if unit.terms() != [(0, Fraction(1))]:
+    if unit.numerators() != ({0: 1}, 1):
         root = unit.unit_root(m)
         s = TruncSeries.monomial(1, 1, root.trunc + 1) * root
         tau = s.param_inverse()
@@ -154,7 +154,7 @@ def _gap_exponents(y: TruncSeries, n: int, m: int) -> list[int]:
     members = {a * n + b * m
                for a in range(y.trunc // n + 1)
                for b in range(y.trunc // m + 1)}
-    return [d for d, _ in y.terms() if d > m and d not in members]
+    return [d for d in y.numerators()[0] if d > m and d not in members]
 
 
 def zariski_step(r: Reduction) -> bool:
@@ -174,7 +174,7 @@ def zariski_step(r: Reduction) -> bool:
         raise DomainError("the short-parameterization step needs nonzero x and y")
     n = c.x.order()
     m = c.y.order()
-    if c.x.terms() != [(n, Fraction(1))] or c.y.coefficient(m) != 1:
+    if c.x.numerators() != ({n: 1}, 1) or c.y.coefficient(m) != 1:
         raise DomainError("monomialize and scale the curve before the "
                           "short-parameterization step")
     if not n < m:
@@ -304,10 +304,10 @@ def scale_normalize(r: Reduction) -> None:
     cur = r.curve
     if cur.z.is_zero() and not cur.x.is_zero() and not cur.y.is_zero():
         n, m = cur.x.order(), cur.y.order()
-        yterms = cur.y.terms()
-        if cur.x.terms() == [(n, Fraction(1))] and len(yterms) == 2 \
-                and yterms[0] == (m, Fraction(1)):
-            p, beta = yterms[1]
+        ynum, yden = cur.y.numerators()
+        if cur.x.numerators() == ({n: 1}, 1) and len(ynum) == 2 and ynum[m] == yden:
+            p = max(ynum)
+            beta = Fraction(ynum[p], yden)
             if abs(beta) != 1:
                 lam = _fraction_nth_root(1 / abs(beta), p - m)
                 if lam is not None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import DomainError, InsufficientTruncation
 
@@ -44,6 +44,29 @@ def _as_fraction(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise DomainError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def integer_form(items: Iterable[tuple[object, Rational]]) -> tuple[dict, int]:
+    """The nonzero values of the (key, value) pairs ``items``, read in order,
+    as integer numerators over their lcm denominator; an int stays an int."""
+    table = {}
+    for key, value in items:
+        q = value if isinstance(value, int) else _as_fraction(value)
+        if q:
+            table[key] = q
+    # lowest-terms values over their lcm already have content 1
+    den = lcm(*(q.denominator for q in table.values()))
+    return {key: q.numerator * (den // q.denominator) for key, q in table.items()}, den
+
+
+def _through(coeffs: Mapping[int, Rational],
+             trunc: int) -> Iterator[tuple[int, Rational]]:
+    """The pairs of ``coeffs`` through ``trunc``, each degree checked first."""
+    for degree, value in coeffs.items():
+        if degree < 0:
+            raise DomainError("series degrees must be non-negative")
+        if degree <= trunc:
+            yield degree, value
 
 
 # -- the integer kernel ----------------------------------------------------------
@@ -164,20 +187,8 @@ class TruncSeries:
         if trunc < 0:
             raise DomainError("truncation order must be non-negative")
         trunc = min(trunc, MAX_TRUNC)
-        table: dict[int, Fraction] = {}
-        if coeffs:
-            for degree, value in coeffs.items():
-                if degree < 0:
-                    raise DomainError("series degrees must be non-negative")
-                if degree > trunc:
-                    continue
-                q = _as_fraction(value)
-                if q != 0:
-                    table[degree] = q
-        den = lcm(*(q.denominator for q in table.values()))
-        num = [0] * (max(table, default=-1) + 1)
-        for degree, q in table.items():
-            num[degree] = q.numerator * (den // q.denominator)
+        table, den = integer_form(_through(coeffs or {}, trunc))
+        num = [table.get(d, 0) for d in range(max(table, default=-1) + 1)]
         self._num, self._den, self._trunc = _canonical(num, den, trunc)
 
     # -- construction -------------------------------------------------

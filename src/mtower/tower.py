@@ -80,7 +80,7 @@ class CriticalHyperplane:
     def contains(self, direction: Sequence[Rational]) -> bool:
         return self._holds(_as_direction(direction))
 
-    def _holds(self, direction: Direction) -> bool:
+    def _holds(self, direction: Sequence[Rational]) -> bool:
         return sum(v for n, v in zip(self.normal, direction) if n) == 0
 
 
@@ -435,24 +435,18 @@ def parse_word(text: str) -> RVTWord:
     word = tuple(letters)
     if word[0] != "R":
         raise DomainError("an RVT word always begins with R")
-    if any(letter not in LETTERS for letter in word):
-        raise DomainError(f"malformed RVT word {text!r}")
     return word
 
 
 # -- realization -----------------------------------------------------------
 
-_TANGENT_CANDIDATES: tuple[tuple[int, int], ...] = (
-    (0, 0), (1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, -1), (-1, 1),
-    (2, 3), (3, 2), (1, 3), (3, 1))
+#: Slopes (s, r) of tangents (1, s, r); (1, 1, 1) lies in no critical plane.
+_TANGENT_CANDIDATES: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-def _pick_regular_tangent(arrangement: Arrangement) -> tuple[Fraction, Fraction]:
-    for s, r in _TANGENT_CANDIDATES:
-        direction = (Fraction(1), Fraction(s), Fraction(r))
-        if all(not h._holds(direction) for h in arrangement):
-            return Fraction(s), Fraction(r)
-    raise AssertionError("no regular tangent among the candidate slopes")
+def _pick_regular_tangent(arrangement: Arrangement) -> tuple[int, int]:
+    return next((s, r) for s, r in _TANGENT_CANDIDATES
+                if not any(h._holds((1, s, r)) for h in arrangement))
 
 
 def realize_point(p: TowerPoint, trunc: int = DEFAULT_TRUNC,

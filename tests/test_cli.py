@@ -358,6 +358,21 @@ def test_oversized_degree_key_is_a_domain_error(capsys, tmp_path):
                          key)
 
 
+def test_a_jet_off_the_origin_is_a_domain_error(capsys, tmp_path):
+    diffeo = tmp_path / "phi.json"
+    diffeo.write_text(json.dumps({"degree": 3, "phi1": {"1,0,0": "1"},
+                                  "phi2": {"0,1,0": "1"},
+                                  "phi3": {"0,0,1": "1", "0,0,0": "1/2"}}))
+    point = tmp_path / "p.json"
+    point.write_text(dumps(point_to_obj(
+        prolong_curve(monomial_curve(1, None, None), 1).point)))
+    assert main(["apply", "--diffeo", str(diffeo), "--point", str(point)]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["error"] == {
+        "code": "domain-error", "message": "diffeomorphism germs must fix the origin"}
+    assert "Traceback" not in captured.err
+
+
 def test_oversized_jet_key_is_a_domain_error(capsys, tmp_path):
     key = "1" + "0" * 4999 + ",0,0"
     diffeo = tmp_path / "phi.json"

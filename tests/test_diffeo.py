@@ -10,6 +10,7 @@ from mtower.curves import monomial_curve
 from mtower.diffeo import (DiffeoJet, fiber_action, isotropy_check,
                            prolong_apply, sample_diffeo, taylor_constraints)
 from mtower.errors import DomainError, InsufficientTruncation
+from mtower.jets import PolyJet3
 from mtower.series import TruncSeries
 from mtower.tower import point_above, prolong_curve, realize_point, rvt_code
 
@@ -91,7 +92,8 @@ def test_level_one_action_matches_pushforward_formula():
         phi = sample_diffeo(rng, degree=2)
         u0 = F(rng.randint(-3, 3), rng.randint(1, 3))
         v0 = F(rng.randint(-3, 3), rng.randint(1, 3))
-        lin = phi.linear_part()
+        lin = [[phi.coefficient(i, axis) for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+               for i in (1, 2, 3)]
         denom = lin[0][0] + u0 * lin[0][1] + v0 * lin[0][2]
         if denom == 0:
             continue
@@ -102,6 +104,16 @@ def test_level_one_action_matches_pushforward_formula():
         assert image.chart == (0,)
         assert image.coords == (0, 0, 0, expected_u, expected_v)
         checked += 1
+
+
+def test_a_jet_off_the_origin_is_no_diffeo_and_moves_no_curve():
+    jet = PolyJet3([{X: 1}, {Y: 1}, {Z: 1, (0, 0, 0): F(1, 2)}], 3)
+    with pytest.raises(DomainError) as error:
+        DiffeoJet(jet)
+    assert str(error.value) == "diffeomorphism germs must fix the origin"
+    with pytest.raises(DomainError) as error:
+        CUSP.map_jet(jet)
+    assert str(error.value) == "jet must fix the origin to act on curve germs"
 
 
 def test_rvt_code_invariance_under_diffeos():

@@ -2,7 +2,8 @@
 
 import random
 from fractions import Fraction
-from math import ceil, log2
+from itertools import combinations
+from math import ceil, gcd, log2
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,44 @@ def test_compose_rejects_degree_below_one():
         shear_y_by_x2().compose(shear_z_by_y2(), 0)
 
 
+#: The identity moved off the origin by a non-integer constant in phi3 only.
+OFF_ORIGIN = PolyJet3([{X: 1}, {Y: 1}, {Z: 1, (0, 0, 0): F(1, 2)}], 3)
+
+
+def test_jet_operations_refuse_a_jet_off_the_origin():
+    assert not OFF_ORIGIN.fixes_origin()
+    assert PolyJet3.identity(3).fixes_origin()
+    for outer, inner in [(OFF_ORIGIN, shear_y_by_x2()), (shear_y_by_x2(), OFF_ORIGIN)]:
+        with pytest.raises(DomainError) as error:
+            outer.compose(inner)
+        assert str(error.value) == "jet composition requires both jets to fix the origin"
+    with pytest.raises(DomainError) as error:
+        OFF_ORIGIN.inverse()
+    assert str(error.value) == "jet inverse requires a jet fixing the origin"
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"], ids=["float", "str"])
+def test_series_and_jets_read_coefficients_alike(bad):
+    message = f"expected an exact rational, got {type(bad).__name__}"
+    for table in ({2: bad}, {2: bad, -1: 1}):
+        with pytest.raises(DomainError) as error:
+            TruncSeries({1: 1, **table}, 4)
+        assert str(error.value) == message
+        with pytest.raises(DomainError) as error:
+            PolyJet3([{X: 1, **{(d, 0, 0): v for d, v in table.items()}},
+                      {Y: 1}, {Z: 1}], 4)
+        assert str(error.value) == message
+    # a key is checked before its own value, and entries in table order
+    with pytest.raises(DomainError, match="series degrees must be non-negative"):
+        TruncSeries({1: 1, -1: bad}, 4)
+    with pytest.raises(DomainError, match="monomial exponents must be non-negative"):
+        PolyJet3([{X: 1, (-1, 0, 0): bad}, {Y: 1}, {Z: 1}], 4)
+    # a value past the truncation or degree is never read, and zeros are dropped
+    assert TruncSeries({1: 1, 2: 0, 3: F(0), 5: bad}, 4).numerators() == ({1: 1}, 1)
+    assert PolyJet3([{X: 1, (2, 0, 0): 0, (3, 0, 0): F(0), (5, 0, 0): bad},
+                     {Y: 1}, {Z: 1}], 4).polys == PolyJet3.identity(4).polys
+
+
 def test_jet_json_round_trip():
     jet = PolyJet3([{X: F(2, 3)}, {Y: 1, (2, 0, 0): F(-1, 7)}, {Z: 4}], 5)
     assert jet_from_obj(jet_to_obj(jet)) == jet
@@ -168,7 +207,7 @@ def oracle_jets(draw, degree, linear=None):
 invertible_linear = st.lists(
     st.lists(st.integers(-3, 3), min_size=3, max_size=3),
     min_size=3, max_size=3).filter(
-        lambda m: PolyJet3.from_linear(m, 1).linear_det() != 0)
+        lambda m: PolyJet3([dict(zip((X, Y, Z), row)) for row in m], 1).linear_det() != 0)
 
 
 def to_sympy(table, sym_ring):
@@ -242,6 +281,53 @@ def test_inverse_matches_sympy(phi):
     sym_phi = [to_sympy(c, QQ_XYZ) for c in phi.components]
     assert sympy_evaluate(phi, sym_inv, phi.degree) == identity
     assert sympy_evaluate(inv, sym_phi, phi.degree) == identity
+
+
+def reference_det_and_inverse(m):
+    """The determinant and inverse of a 3x3 Fraction matrix by cofactors
+    (the inverse is None for a singular matrix)."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if det == 0:
+        return det, None
+    adj = [[e * i - f * h, c * h - b * i, b * f - c * e],
+           [f * g - d * i, a * i - c * g, c * d - a * f],
+           [d * h - e * g, b * g - a * h, a * e - b * d]]
+    return det, [[x / det for x in row] for row in adj]
+
+
+@st.composite
+def coprime_denominator_jets(draw):
+    """Degree-2 jets whose components have pairwise coprime denominators of
+    up to 64 bits: each component carries 1/d times the monomial xy, and
+    linear coefficients over that d."""
+    dens = draw(st.lists(st.integers(2, 2 ** 64), min_size=3, max_size=3).filter(
+        lambda ds: all(gcd(p, q) == 1 for p, q in combinations(ds, 2))))
+    numerator = st.integers(-2 ** 64, 2 ** 64)
+    comps = []
+    for den in dens:
+        row = draw(st.lists(numerator, min_size=3, max_size=3))
+        comps.append({(1, 1, 0): F(1, den),
+                      **{axis: F(x, den) for axis, x in zip((X, Y, Z), row)}})
+    return PolyJet3(comps, 2)
+
+
+@given(coprime_denominator_jets())
+@settings(max_examples=60, deadline=None)
+def test_integer_linear_algebra_matches_fraction_cofactors(phi):
+    dens = [den for _, den in phi.polys]
+    assert min(dens) > 1 and all(gcd(p, q) == 1 for p, q in combinations(dens, 2))
+    linear = [[phi.coefficient(i, axis) for axis in (X, Y, Z)] for i in (1, 2, 3)]
+    det, inverse = reference_det_and_inverse(linear)
+    assert phi.linear_det() == det
+    assert isinstance(phi.linear_det(), Fraction)
+    if inverse is None:
+        with pytest.raises(DomainError):
+            phi.inverse()
+        return
+    inv = phi.inverse()
+    assert [[inv.coefficient(i, axis) for axis in (X, Y, Z)]
+            for i in (1, 2, 3)] == inverse
 
 
 @given(st.integers(1, 4).flatmap(oracle_jets), st.integers(1, 12),

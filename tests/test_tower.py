@@ -1,16 +1,19 @@
 """Prolongation, charts, critical hyperplanes and RVT coding."""
 
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from mtower.curves import CurveGerm, monomial_curve
 from mtower.errors import DomainError, InsufficientTruncation
 from mtower.series import TruncSeries
-from mtower.tower import (CriticalHyperplane, classify_direction, make_point,
-                          parse_word, point_above, point_letters, project_point,
-                          prolong_curve, prolong_hyperplane, realize_point,
-                          rvt_code, vertical_plane, word_str)
+from mtower.tower import (LETTERS, CriticalHyperplane, _pick_regular_tangent,
+                          classify_direction, make_point, parse_word, point_above,
+                          point_letters, project_point, prolong_curve,
+                          prolong_hyperplane, realize_point, rvt_code,
+                          vertical_plane, word_str)
 
 F = Fraction
 
@@ -122,6 +125,31 @@ def test_word_parsing_round_trip():
         parse_word("VR")
     with pytest.raises(DomainError):
         parse_word("RT3")
+
+
+@given(st.text(alphabet="RVTL123x", max_size=8))
+def test_a_parsed_word_is_made_of_letters(text):
+    try:
+        word = parse_word(text)
+    except DomainError:
+        return
+    assert all(letter in LETTERS for letter in word)
+    assert word_str(word) == text
+
+
+def test_regular_tangent_over_every_arrangement():
+    # the first slope of a longer list whose tangent (1, s, r) lies in no
+    # plane is always among the four kept candidates
+    longer = [(0, 0), (1, 0), (0, 1), (1, 1), (1, 2), (2, 1), (1, -1), (-1, 1),
+              (2, 3), (3, 2), (1, 3), (3, 1)]
+    normals = [n for n in product((0, 1), repeat=3) if any(n)]
+    arrangements = [tuple(CriticalHyperplane(1, age, n) for age, n in enumerate(chosen))
+                    for size in range(4) for chosen in combinations(normals, size)]
+    assert len(arrangements) == 64
+    for arrangement in arrangements:
+        expected = next(slope for slope in longer
+                        if not any(h.contains((1, *slope)) for h in arrangement))
+        assert _pick_regular_tangent(arrangement) == expected
 
 
 # -- arrangements ---------------------------------------------------------------

@@ -7,7 +7,7 @@ from typing import Mapping
 
 from .errors import DomainError
 from .jets import PolyJet3
-from .series import (DEFAULT_TRUNC, TruncSeries, parse_integer,
+from .series import (DEFAULT_TRUNC, TruncSeries, compose_all, parse_integer,
                      series_from_obj, series_to_obj)
 
 
@@ -47,8 +47,7 @@ class CurveGerm:
 
     def reparametrize(self, tau: TruncSeries) -> "CurveGerm":
         """Pre-compose with a parameter change t = tau(T), ord(tau) >= 1."""
-        return CurveGerm(self.x.compose(tau), self.y.compose(tau),
-                         self.z.compose(tau))
+        return CurveGerm(*compose_all(self.components, tau))
 
     def restrict(self, trunc: int) -> "CurveGerm":
         return CurveGerm(self.x.restrict(trunc), self.y.restrict(trunc),

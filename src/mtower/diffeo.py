@@ -44,10 +44,6 @@ class DiffeoJet:
                  degree: int = DEFAULT_JET_DEGREE) -> "DiffeoJet":
         return cls(PolyJet3.diagonal(a, b, c, degree))
 
-    @classmethod
-    def from_components(cls, comps, degree: int = DEFAULT_JET_DEGREE) -> "DiffeoJet":
-        return cls(PolyJet3(comps, degree))
-
     @property
     def degree(self) -> int:
         return self.jet.degree

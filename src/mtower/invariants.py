@@ -15,9 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .curves import CurveGerm
 from .errors import DomainError, InsufficientTruncation
-from .jets import (IntPoly, Mono, evaluate_polys, integer_poly, monomials,
-                   on_series, poly_scaled_sum)
-from .series import TruncSeries
+from .jets import integer_poly, monomials, poly_scaled_sum
+from .series import IntPoly, Mono, TruncSeries, evaluate_polys, on_series
 
 #: Default certification bound for semigroups.
 DEFAULT_SEMIGROUP_BOUND = 24
@@ -107,7 +106,7 @@ def poly_on_curve(poly: IntPoly, c: CurveGerm,
                   products: dict[Mono, TruncSeries] | None = None) -> TruncSeries:
     """Compose a polynomial in (x, y, z), in integer form, with the curve;
     ``products`` keeps the monomial products of its components as in
-    :func:`jets.evaluate_polys`."""
+    :func:`series.evaluate_polys`."""
     return next(evaluate_polys([poly], *on_series(*c.components), products=products))
 
 

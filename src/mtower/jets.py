@@ -13,21 +13,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError
-from .series import (Rational, TruncSeries, format_rational, integer_form,
-                     linear_combination, parse_integer, parse_key, parse_rational)
+from .series import (_AXES, _ZERO, IntPoly, Mono, Rational, TruncSeries,
+                     evaluate_polys, format_rational, integer_form, on_series,
+                     parse_integer, parse_key, parse_rational)
 
-Mono = tuple[int, int, int]
 PolyTable = dict[Mono, Fraction]
-#: A polynomial as integer numerators over one positive denominator.
-IntPoly = tuple[dict[Mono, int], int]
-
-_ZERO = (0, 0, 0)
-_AXES: tuple[Mono, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-T = TypeVar("T")
 
 
 # -- the integer kernel ----------------------------------------------------------
@@ -108,73 +101,6 @@ def monomials(degree: int) -> list[Mono]:
             for j in range(degree + 1 - i)
             for k in range(degree + 1 - i - j)
             if i + j + k]
-
-
-def evaluate_polys(polys: Iterable[IntPoly],
-                   images: Sequence[T], one: T, mul: Callable[[T, T], T],
-                   scaled_sum: Callable[[Iterator[tuple[int, T]], int], T],
-                   products: dict[Mono, T] | None = None) -> Iterator[T]:
-    """Evaluate each polynomial at (x, y, z) = ``images``, one result per polynomial.
-
-    The polynomials are in integer form (:func:`integer_poly`), read and
-    evaluated lazily. ``one`` is the images' unit, ``mul`` their truncated
-    product and ``scaled_sum(terms, den)`` adds up the (integer numerator,
-    term) pairs and divides by the polynomial's denominator once.
-
-    Each monomial's product is made once and kept in ``products``, for this
-    call or, in a loop of series substitutions at one truncation, for as
-    long as the caller keeps the dict (empty at first). x^a y^b z^c is the
-    kept x^a y^b times the kept z^c, and a power is the next lower power
-    times the image. An axis's own entry is its image; when an image is not
-    that object, every entry with that axis in it goes. A polynomial that is
-    one monomial (coefficient 1, denominator 1) yields that product itself,
-    kept only if it is a power, so a lone axis passes its image through and
-    the products of the axes a step leaves in place outlast the step."""
-    products = {} if products is None else products
-    for axis, (unit, image) in enumerate(zip(_AXES, images)):
-        if products.get(unit) is not image:
-            for mono in [m for m in products if m[axis]]:
-                del products[mono]
-            products[unit] = image
-
-    def product(mono: Mono, keep: bool = True) -> T:
-        if mono in products or not any(mono):
-            return products.get(mono, one)
-        last = 2 if mono[2] else 1 if mono[1] else 0
-        head, power = mono[:last] + _ZERO[last:], _ZERO[:last] + mono[last:]
-        if any(head):
-            value = mul(product(head), product(power))
-            if keep:
-                products[mono] = value
-            return value
-        # a power of one axis: multiply up, by a loop, from the highest kept
-        # power of that axis
-        missing = []
-        while mono not in products:
-            missing.append(mono)
-            mono = _ZERO[:last] + (mono[last] - 1,) + _ZERO[last + 1:]
-        value = products[mono]
-        for mono in reversed(missing):
-            value = products[mono] = mul(value, images[last])
-        return value
-
-    for num, den in polys:
-        if den == 1 and list(num.values()) == [1]:
-            yield product(*num, keep=False)
-        else:
-            yield scaled_sum(((x, product(mono)) for mono, x in num.items()), den)
-
-
-def on_series(sx: TruncSeries, sy: TruncSeries, sz: TruncSeries) -> tuple:
-    """Arguments of :func:`evaluate_polys` for substituting three series
-    vanishing at 0; results are known through their common truncation."""
-    for s in (sx, sy, sz):
-        if s.order() == 0:
-            raise DomainError("curve substitution requires series vanishing at 0")
-    trunc = min(sx.trunc, sy.trunc, sz.trunc)
-    return ((sx.restrict(trunc), sy.restrict(trunc), sz.restrict(trunc)),
-            TruncSeries({0: 1}, trunc), lambda a, b: (a * b).restrict(trunc),
-            lambda terms, den: linear_combination(terms, den, trunc))
 
 
 def jet_from_polys(comps: Sequence[IntPoly], degree: int) -> "PolyJet3":

@@ -100,7 +100,7 @@ class ReductionTrace:
 class Reduction:
     """A curve under reduction: the current curve, the trace of the steps
     that led to it, the notes on what was left undone, and one table of
-    monomial products (see :func:`jets.evaluate_polys`) that every step and
+    monomial products (see :func:`series.evaluate_polys`) that every step and
     witness shares, so the components a step leaves in place keep their
     products. Each stage below extends a reduction in place, and
     :meth:`ReductionTrace.replay` pushes the recorded steps on a fresh one."""

@@ -12,8 +12,9 @@ denominator, reduced by their gcd content, and every query returns them as
 lowest-terms :class:`fractions.Fraction`; there is no floating point
 anywhere. Products are one big-integer product (Kronecker substitution),
 except when an operand has only a few nonzero terms; reciprocals are Newton
-iterations on that product. Instances are immutable and safe to share
-between threads.
+iterations on that product. Composition, unit roots and the substitutions
+of jets evaluate polynomials through :func:`evaluate_polys`. Instances are
+immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -21,11 +22,19 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 from .errors import DomainError, InsufficientTruncation
 
 Rational = Union[Fraction, int]
+Mono = tuple[int, int, int]
+#: A polynomial as integer numerators over one positive denominator.
+IntPoly = tuple[dict[Mono, int], int]
+
+_ZERO = (0, 0, 0)
+_AXES: tuple[Mono, ...] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+T = TypeVar("T")
 
 #: Default truncation order for newly built series.
 DEFAULT_TRUNC = 64
@@ -402,52 +411,25 @@ class TruncSeries:
 
         Requires ord(inner) >= 1 so that the result is again a germ at 0.
         """
-        og = inner.effective_order()
-        if inner.order() == 0:
-            raise DomainError("composition requires the inner series to vanish at 0")
-        nonconst = [d for d, _ in _nonzero(self._num) if d >= 1]
-        bounds = [(self._trunc + 1) * og - 1]
-        if nonconst:
-            bounds.append(inner._trunc + (min(nonconst) - 1) * og)
-        trunc = min(min(bounds), MAX_TRUNC)
-        # Horner's rule on the numerators s of self = s/c, reducing the
-        # content at every step; degrees above trunc // og cannot reach the
-        # certified coefficients.
-        s = _stripped(self._num[:trunc // og + 1])
-        acc, den = s[-1:], 1
-        for d in range(len(s) - 2, -1, -1):
-            acc, den = _mul(acc, inner._num, trunc + 1), den * inner._den
-            if s[d]:
-                acc = acc or [0]
-                acc[0] += s[d] * den
-            acc, den, _ = _canonical(acc, den, trunc)
-        return _series(acc, den * self._den, trunc)
+        return compose_all([self], inner)[0]
 
     def unit_root(self, m: int) -> "TruncSeries":
         """The m-th root of a unit series with constant term 1.
 
-        Computed by the binomial series for (1+h)^(1/m); all coefficients
-        stay rational.
+        Computed by the binomial series for (1+h)^(1/m), summed through
+        h^(trunc // ord h); all coefficients stay rational.
         """
         if m <= 0:
             raise DomainError("root index must be a positive integer")
         if self.coefficient(0) != 1:
             raise DomainError("unit_root requires constant term exactly 1")
         h = self - TruncSeries({0: 1}, self._trunc)
-        oh = h.effective_order()
-        trunc = self._trunc
-        result = TruncSeries({0: 1}, trunc)
-        if h.is_zero():
-            return result
-        term = TruncSeries({0: 1}, trunc)
-        alpha = Fraction(1, m)
-        k = 0
-        while (k + 1) * oh <= trunc:
-            coeff = (alpha - k) / (k + 1)
-            term = (term * h).scale(coeff).restrict(trunc)
-            result = result + term
-            k += 1
-        return result.restrict(trunc)
+        binomial = [Fraction(1)]
+        for k in range(self._trunc // h.effective_order()):
+            binomial.append(binomial[-1] * (Fraction(1, m) - k) / (k + 1))
+        poly = integer_form(((k, 0, 0), c) for k, c in enumerate(binomial))
+        (out,) = evaluate_polys([poly], (h,), *_ring(self._trunc))
+        return out
 
     def param_inverse(self) -> "TruncSeries":
         """Compositional inverse of an order-1 series.
@@ -484,6 +466,103 @@ def linear_combination(terms: Iterable[tuple[int, TruncSeries]], den: int,
         num = s._num[:trunc + 1]
         acc[:len(num)] = [x + c * y for x, y in zip(acc, num)]
     return _series(acc, common * den, trunc)
+
+
+def evaluate_polys(polys: Iterable[IntPoly],
+                   images: Sequence[T], one: T, mul: Callable[[T, T], T],
+                   scaled_sum: Callable[[Iterator[tuple[int, T]], int], T],
+                   products: dict[Mono, T] | None = None) -> Iterator[T]:
+    """Evaluate each polynomial at (x, y, z) = ``images``, one result per polynomial.
+
+    The polynomials are in integer form (``IntPoly``), read and evaluated
+    lazily; ``images`` may stop after the last axis they use. ``one`` is the
+    images' unit, ``mul`` their truncated product and ``scaled_sum(terms,
+    den)`` adds up the (integer numerator, term) pairs and divides by the
+    polynomial's denominator once.
+
+    Each monomial's product is made once and kept in ``products``, for this
+    call or, in a loop of series substitutions at one truncation, for as
+    long as the caller keeps the dict (empty at first). x^a y^b z^c is the
+    kept x^a y^b times the kept z^c, and a power is the next lower power
+    times the image. An axis's own entry is its image; when an image is not
+    that object, every entry with that axis in it goes. A polynomial that is
+    one monomial (coefficient 1, denominator 1) yields that product itself,
+    kept only if it is a power, so a lone axis passes its image through and
+    the products of the axes a step leaves in place outlast the step."""
+    products = {} if products is None else products
+    for axis, (unit, image) in enumerate(zip(_AXES, images)):
+        if products.get(unit) is not image:
+            for mono in [m for m in products if m[axis]]:
+                del products[mono]
+            products[unit] = image
+
+    def product(mono: Mono, keep: bool = True) -> T:
+        if mono in products or not any(mono):
+            return products.get(mono, one)
+        last = 2 if mono[2] else 1 if mono[1] else 0
+        head, power = mono[:last] + _ZERO[last:], _ZERO[:last] + mono[last:]
+        if any(head):
+            value = mul(product(head), product(power))
+            if keep:
+                products[mono] = value
+            return value
+        # a power of one axis: multiply up, by a loop, from the highest kept
+        # power of that axis
+        missing = []
+        while mono not in products:
+            missing.append(mono)
+            mono = _ZERO[:last] + (mono[last] - 1,) + _ZERO[last + 1:]
+        value = products[mono]
+        for mono in reversed(missing):
+            value = products[mono] = mul(value, images[last])
+        return value
+
+    for num, den in polys:
+        if den == 1 and list(num.values()) == [1]:
+            yield product(*num, keep=False)
+        else:
+            yield scaled_sum(((x, product(mono)) for mono, x in num.items()), den)
+
+
+def _ring(trunc: int) -> tuple:
+    """The unit, product and ``scaled_sum`` of :func:`evaluate_polys` for
+    series known through ``trunc``."""
+    return (_series([1], 1, trunc), lambda a, b: (a * b).restrict(trunc),
+            lambda terms, den: linear_combination(terms, den, trunc))
+
+
+def on_series(sx: TruncSeries, sy: TruncSeries, sz: TruncSeries) -> tuple:
+    """Arguments of :func:`evaluate_polys` for substituting three series
+    vanishing at 0; results are known through their common truncation."""
+    for s in (sx, sy, sz):
+        if s.order() == 0:
+            raise DomainError("curve substitution requires series vanishing at 0")
+    trunc = min(sx.trunc, sy.trunc, sz.trunc)
+    return ((sx.restrict(trunc), sy.restrict(trunc), sz.restrict(trunc)),
+            *_ring(trunc))
+
+
+def compose_all(outers: Iterable[TruncSeries],
+                inner: TruncSeries) -> list[TruncSeries]:
+    """``outer.compose(inner)`` for each of ``outers``, with one table of the
+    powers of ``inner``, kept at the largest of the results' truncations."""
+    og = inner.effective_order()
+    if inner.order() == 0:
+        raise DomainError("composition requires the inner series to vanish at 0")
+    truncs, polys = [], []
+    for s in outers:
+        nonconst = [d for d, _ in _nonzero(s._num) if d >= 1]
+        bounds = [(s._trunc + 1) * og - 1]
+        if nonconst:
+            bounds.append(inner._trunc + (min(nonconst) - 1) * og)
+        trunc = min(min(bounds), MAX_TRUNC)
+        # degrees above trunc // og cannot reach the certified coefficients
+        polys.append(({(d, 0, 0): x for d, x in _nonzero(s._num[:trunc // og + 1])},
+                      s._den))
+        truncs.append(trunc)
+    outs = evaluate_polys(polys, (inner,), *_ring(max(truncs)))
+    # a lone t comes back as ``inner`` itself, known further
+    return [out.restrict(trunc) for out, trunc in zip(outs, truncs)]
 
 
 _RATIONAL_LITERAL = re.compile(r"-?[0-9]+(/[0-9]+)?")

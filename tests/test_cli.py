@@ -18,6 +18,7 @@ from mtower.formats import (certificate_from_obj, certificate_to_obj,
                             trace_to_obj)
 from mtower.diffeo import DiffeoJet
 from mtower.errors import DomainError
+from mtower.jets import PolyJet3
 from mtower.normalize import apply_certificate, equivalence_search, reduce_catalog
 from mtower.tower import prolong_curve, word_str
 
@@ -62,9 +63,9 @@ def test_point_serialization_is_lowest_terms():
 
 
 def test_diffeo_round_trip():
-    phi = DiffeoJet.from_components(
+    phi = DiffeoJet(PolyJet3(
         [{(1, 0, 0): F(2, 3)}, {(0, 1, 0): 1, (2, 0, 0): F(-1, 7)},
-         {(0, 0, 1): 4}], degree=5)
+         {(0, 0, 1): 4}], 5))
     assert diffeo_from_obj(json.loads(dumps(diffeo_to_obj(phi)))) == phi
 
 
@@ -466,8 +467,7 @@ def test_jet_key_with_leading_zero_is_a_domain_error(capsys, tmp_path, key):
     ("0", "00000"), ([0], "00000"), ("0", ["0"] * 5), ({"0": 0}, ["0"] * 5)])
 def test_point_arrays_must_be_arrays(capsys, tmp_path, chart, coords):
     diffeo = tmp_path / "phi.json"
-    diffeo.write_text(dumps(diffeo_to_obj(DiffeoJet.from_components(
-        [{(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}], degree=2))))
+    diffeo.write_text(dumps(diffeo_to_obj(DiffeoJet.identity(2))))
     point = tmp_path / "p.json"
     point.write_text(json.dumps({"level": 1, "chart": chart, "coords": coords}))
     _assert_domain_error(capsys, ["apply", "--diffeo", str(diffeo),
@@ -488,8 +488,7 @@ def test_curve_trunc_must_be_a_json_integer(capsys, tmp_path, trunc):
 def test_point_integers_must_be_json_integers(capsys, tmp_path, level, chart,
                                               field):
     diffeo = tmp_path / "phi.json"
-    diffeo.write_text(dumps(diffeo_to_obj(DiffeoJet.from_components(
-        [{(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}], degree=2))))
+    diffeo.write_text(dumps(diffeo_to_obj(DiffeoJet.identity(2))))
     point = tmp_path / "p.json"
     point.write_text(json.dumps({"level": level, "chart": chart,
                                  "coords": ["0"] * 5}))

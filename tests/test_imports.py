@@ -85,3 +85,13 @@ def test_every_exported_name_exists_once(module):
     repeated = sorted({name for name in mod.__all__
                        if mod.__all__.count(name) > 1})
     assert not repeated, f"{module}.__all__ lists names twice: {repeated}"
+
+
+def test_series_is_the_bottom_layer():
+    # every ImportFrom, also one inside a function, so no lazy import of a
+    # higher layer can make the kernel depend on the rest of the package
+    tree = ast.parse((SRC / "series.py").read_text())
+    inside = sorted({f"{'.' * node.level}{node.module or ''}"
+                     for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                     and (node.level or (node.module or "").startswith("mtower"))})
+    assert inside == [".errors"], f"series.py imports from the package: {inside}"

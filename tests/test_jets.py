@@ -12,10 +12,9 @@ from sympy.polys.rings import ring
 
 from mtower.curves import monomial_curve
 from mtower.errors import DomainError
-from mtower.jets import (PolyJet3, _poly_mul, evaluate_polys, integer_poly,
-                         jet_from_obj, jet_to_obj, monomials, on_series,
-                         poly_scaled_sum)
-from mtower.series import TruncSeries
+from mtower.jets import (PolyJet3, _poly_mul, integer_poly, jet_from_obj,
+                         jet_to_obj, monomials, poly_scaled_sum)
+from mtower.series import TruncSeries, evaluate_polys, on_series
 
 F = Fraction
 

@@ -532,9 +532,9 @@ reparams = st.builds(
 scalings = st.builds(lambda a, b, c: ScaleStep((a, b, c)), nonzero, nonzero, nonzero)
 # moves two components at once, so it takes the general path
 shears = st.builds(
-    lambda a, b: JetStep(DiffeoJet.from_components(
+    lambda a, b: JetStep(DiffeoJet(PolyJet3(
         [{(1, 0, 0): 1, (0, 2, 0): a}, {(0, 1, 0): 1, (2, 0, 0): b},
-         {(0, 0, 1): 1}], 2)), nonzero, nonzero)
+         {(0, 0, 1): 1}], 2))), nonzero, nonzero)
 trace_steps = st.one_of(removals.map(lambda r: removal_step(*r)), reparams,
                         scalings, shears).filter(lambda step: step is not None)
 
@@ -638,10 +638,10 @@ def test_compose_trace_matches_left_fold(steps, degree, trunc, outer_terms):
     assert tau == want_tau
     # an invertible outer jet: a nonzero diagonal plus the witnesses' terms
     # of total degree 2-3
-    outer = DiffeoJet.from_components(
+    outer = DiffeoJet(PolyJet3(
         [{**{m: x for m, x in w.items() if sum(m) > 1}, axis: a}
          for axis, (a, w) in zip(((1, 0, 0), (0, 1, 0), (0, 0, 1)), outer_terms)],
-        degree)
+        degree))
     phi, tau = _compose_trace(trace, degree, trunc, outer)
     assert phi == outer.compose(want_phi, degree)
     assert phi.jet == naive_compose(outer.jet, want_phi.jet, degree)

@@ -6,13 +6,14 @@ from math import ceil, log2
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ
-from sympy.polys.ring_series import (rs_mul, rs_series_inversion,
-                                     rs_series_reversion, rs_subs)
+from sympy.polys.ring_series import (rs_integrate, rs_mul, rs_nth_root,
+                                     rs_series_inversion, rs_series_reversion,
+                                     rs_subs)
 from sympy.polys.rings import ring
 
 from mtower.errors import DomainError, InsufficientTruncation
-from mtower.series import (MAX_TRUNC, TruncSeries, format_rational,
-                           parse_rational)
+from mtower.series import (MAX_TRUNC, TruncSeries, compose_all,
+                           format_rational, parse_rational)
 
 F = Fraction
 
@@ -393,6 +394,14 @@ def test_compose_matches_sympy(a, g):
     assert_matches(a.compose(g), expected, trunc)
 
 
+@given(st.lists(kernel_series(max_trunc=40, max_bits=16), min_size=1, max_size=3),
+       kernel_series(max_trunc=40, max_bits=16, min_order=1))
+@settings(max_examples=40, deadline=None)
+def test_compose_all_matches_each_compose(outers, g):
+    # one table of powers, kept at the largest truncation, serves every outer
+    assert compose_all(outers, g) == [a.compose(g) for a in outers]
+
+
 @given(kernel_series(max_trunc=24, max_bits=16, min_order=1))
 @settings(max_examples=40, deadline=None)
 def test_param_inverse_matches_sympy(s):
@@ -402,3 +411,19 @@ def test_param_inverse_matches_sympy(s):
         return
     expected = rs_series_reversion(to_sympy(s), SYM_T, s.trunc + 1, SYM_T)
     assert_matches(s.param_inverse(), expected, s.trunc)
+
+
+@given(kernel_series(max_trunc=48, max_bits=16, min_order=1), st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_unit_root_matches_sympy(h, m):
+    u = TruncSeries({0: 1}, h.trunc) + h
+    expected = rs_nth_root(to_sympy(u), m, SYM_T, u.trunc + 1)
+    assert_matches(u.unit_root(m), expected, u.trunc)
+
+
+@given(kernel_series(), small_fractions)
+@settings(max_examples=60, deadline=None)
+def test_integral_matches_sympy(s, constant):
+    expected = rs_integrate(to_sympy(s), SYM_T) + QQ(constant.numerator,
+                                                     constant.denominator)
+    assert_matches(s.integral(constant), expected, min(s.trunc + 1, MAX_TRUNC))

@@ -8,6 +8,7 @@ from mtower.catalog import NORMAL_FORMS
 from mtower.curves import CurveGerm, monomial_curve
 from mtower.diffeo import DiffeoJet
 from mtower.errors import DomainError, InsufficientTruncation, MTError
+from mtower.jets import PolyJet3
 from mtower.series import TruncSeries
 from mtower.tower import (_GRID, Arrangement, CriticalHyperplane, Direction,
                           ProlongedCurve, TowerPoint, _center, _direction_of,
@@ -145,7 +146,7 @@ def moved_catalog_curves(draw):
             table[quadratic[draw(st.integers(0, 5))]] = draw(signs)
             table[quadratic[draw(st.integers(0, 5))]] = draw(signs)
             jet.append(table)
-        c = DiffeoJet.from_components(jet, 2).apply_to_curve(c)
+        c = DiffeoJet(PolyJet3(jet, 2)).apply_to_curve(c)
     return c
 
 

@@ -91,17 +91,21 @@ def fiber_action(phi: DiffeoJet, p: TowerPoint,
 
     Each direction is a pair (b, c) spanning b*d/du + c*d/dv inside the
     vertical plane over ``p``; the image pairs are read off the prolonged
-    image points one level up.
+    image points one level up. Every pair is checked before any point is
+    prolonged.
     """
-    if not isotropy_check(phi, p, trunc):
-        raise DomainError("fiber_action requires a jet fixing the point")
-    out: list[FiberDirection] = []
+    pairs: list[FiberDirection] = []
     for pair in directions:
         if len(pair) != 2:
             raise DomainError("fiber directions are (b, c) pairs")
         b, c = _as_fraction(pair[0]), _as_fraction(pair[1])
         if b == 0 and c == 0:
             raise DomainError("the zero direction cannot be acted on")
+        pairs.append((b, c))
+    if not isotropy_check(phi, p, trunc):
+        raise DomainError("fiber_action requires a jet fixing the point")
+    out: list[FiberDirection] = []
+    for b, c in pairs:
         q_image = prolong_apply(phi, point_above(p, (Fraction(0), b, c)), trunc)
         a, b, c = q_image.step_direction(p.level + 1)
         if a != 0:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -49,6 +50,9 @@ RVTWord = tuple[str, ...]
 
 LETTERS = ("R", "V", "T", "L", "T1", "T2", "L1", "L2", "L3")
 
+#: The one zero every climbed point shares as its zero coordinates.
+_ZERO = Fraction(0)
+
 
 def _as_direction(direction: Sequence[Rational]) -> Direction:
     if len(direction) != 3:
@@ -59,7 +63,7 @@ def _as_direction(direction: Sequence[Rational]) -> Direction:
     return d  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriticalHyperplane:
     """Critical hyperplane delta^age_birth, as a functional on the coframe."""
 
@@ -84,14 +88,22 @@ class CriticalHyperplane:
         return sum(v for n, v in zip(self.normal, direction) if n) == 0
 
 
+@lru_cache(maxsize=256)
+def _plane(birth_level: int, age: int, normal: tuple[int, int, int]
+           ) -> CriticalHyperplane:
+    """The one shared hyperplane with these fields: every walk and climb
+    builds its planes here, from a few dozen (birth, age, normal) values."""
+    return CriticalHyperplane(birth_level, age, normal)
+
+
 def vertical_plane(level: int) -> CriticalHyperplane:
-    return CriticalHyperplane(level, 0, (1, 0, 0))
+    return _plane(level, 0, (1, 0, 0))
 
 
 Arrangement = tuple[CriticalHyperplane, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TowerPoint:
     """Point of the tower: level, chart path, exact coordinates, arrangement.
 
@@ -121,7 +133,8 @@ def _center(direction: Direction) -> tuple[int, Fraction, Fraction]:
     first nonzero coordinate, and the two remaining ratios, in priority
     order, are the new fiber coordinates (u, v)."""
     d = next(i for i, x in enumerate(direction) if x != 0)
-    u, v = (direction[i] / direction[d] for i in range(3) if i != d)
+    u, v = (direction[i] / direction[d] if direction[i] else _ZERO
+            for i in range(3) if i != d)
     return d, u, v
 
 
@@ -158,8 +171,7 @@ def _step(arrangement: Arrangement, direction: Direction, level: int
     d, u, v = _center(direction)
     keep = [i for i in range(3) if i != d]
     above = (vertical_plane(level),) + tuple(
-        CriticalHyperplane(h.birth_level, h.age + 1,
-                           (0, h.normal[keep[0]], h.normal[keep[1]]))
+        _plane(h.birth_level, h.age + 1, (0, h.normal[keep[0]], h.normal[keep[1]]))
         for h in (arrangement[i] for i in hits))
     return letter, (d, u, v), above
 
@@ -293,8 +305,9 @@ def _direction_of(derivs: Sequence[TruncSeries], level: int) -> tuple[Direction,
 @dataclass(frozen=True)
 class _Climb:
     """One climb to level k: the point and its letters, the coordinate
-    series through level k - 1, and the level-k derivative triple with the
-    power of t cancelled from it before reading the direction."""
+    series through level k - 1 (the last two capped unless the climb is
+    full), and the level-k derivative triple with the power of t cancelled
+    from it before reading the direction."""
 
     point: TowerPoint
     letters: RVTWord
@@ -314,10 +327,15 @@ def _check_level(k: int) -> None:
         raise DomainError("prolongation level must be at least 1")
 
 
-def _climb(c: CurveGerm, k: int) -> _Climb:
+def _climb(c: CurveGerm, k: int, full: bool = False) -> _Climb:
     """Go up the tower once to level ``k`` along the curve's prolongation,
     by the chart rule of :func:`prolong_curve`. A level's fiber series are
-    computed only when the next level's derivatives need them."""
+    computed only when the next level's derivatives need them. Unless
+    ``full``, the last ones come from the level k - 1 derivatives restricted
+    to degree 2m + 1, m the order cancelled there: the old denominator's
+    derivative has order m, so the level-k direction is read at a degree
+    <= m, and quotients by a series of order m are exact through m + 1 from
+    operands through 2m + 1."""
     _check_level(k)
     if c.is_constant():
         raise InsufficientTruncation("the curve vanishes up to truncation")
@@ -325,10 +343,12 @@ def _climb(c: CurveGerm, k: int) -> _Climb:
     active: list[TruncSeries] = list(c.components)
     chart: list[int] = []
     letters: list[str] = []
-    coords: list[Fraction] = [Fraction(0)] * 3
+    coords: list[Fraction] = [_ZERO] * 3
     arrangement: Arrangement = ()
     for j in range(1, k + 1):
         if j > 1:
+            if j == k and not full:
+                derivs = tuple(s.restrict(2 * cancelled + 1) for s in derivs)
             u_series, v_series = _fiber_series(derivs, d)
             series.extend((u_series, v_series))
             active = [active[d], u_series, v_series]
@@ -386,7 +406,7 @@ def prolong_curve(c: CurveGerm, k: int) -> ProlongedCurve:
     cancelled before evaluating at 0, so singular parameters are fine). The
     two remaining derivative ratios become the new fiber coordinate series.
     """
-    top = _climb(c, k)
+    top = _climb(c, k, full=True)
     p = top.point
     return ProlongedCurve(c, k, p.chart,
                           top.series + _fiber_series(top.derivs, p.chart[-1]),

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from mtower import diffeo
 from mtower.census import rvvv_points
 from mtower.curves import monomial_curve
 from mtower.diffeo import (DiffeoJet, fiber_action, isotropy_check,
@@ -12,7 +13,8 @@ from mtower.diffeo import (DiffeoJet, fiber_action, isotropy_check,
 from mtower.errors import DomainError, InsufficientTruncation
 from mtower.jets import PolyJet3
 from mtower.series import TruncSeries
-from mtower.tower import point_above, prolong_curve, realize_point, rvt_code
+from mtower.tower import (point_above, prolong_curve, prolong_point,
+                          realize_point, rvt_code)
 
 F = Fraction
 
@@ -216,6 +218,21 @@ def test_fiber_action_requires_isotropy():
     phi = DiffeoJet(PolyJet3([{X: 1}, {Y: 1}, {Z: 1, Y: 1}], 8))
     with pytest.raises(DomainError):
         fiber_action(phi, p2, [(1, 0)])
+
+
+@pytest.mark.parametrize("bad", [(0, 0), (1, 0, 0)])
+def test_fiber_action_checks_every_direction_before_prolonging(monkeypatch, bad):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return prolong_point(*args)
+
+    monkeypatch.setattr(diffeo, "prolong_point", counted)
+    with pytest.raises(DomainError, match="zero direction|pairs"):
+        fiber_action(DiffeoJet.identity(), rvv_representative(),
+                     [(1, 0), (1, 1), bad])
+    assert calls == []
 
 
 def test_sampled_isotropy_jets_fix_first_axis():

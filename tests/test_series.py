@@ -11,7 +11,7 @@ from sympy.polys.ring_series import (rs_integrate, rs_mul, rs_nth_root,
                                      rs_subs)
 from sympy.polys.rings import ring
 
-from mtower.errors import DomainError, InsufficientTruncation
+from mtower.errors import DomainError, InsufficientTruncation, MTError
 from mtower.series import (MAX_TRUNC, TruncSeries, compose_all,
                            format_rational, parse_rational)
 
@@ -378,6 +378,28 @@ def test_divide_matches_sympy(a, b):
                           rs_series_inversion(to_sympy(den), SYM_T, trunc + 1),
                           SYM_T, trunc + 1)
         assert_matches(a.divide(b), expected, trunc)
+
+
+def quotients_through(p, d, numerators):
+    """The quotients numerator/d restricted to degree ``p``, or the class and
+    message of what ``quotients`` raised."""
+    try:
+        return [q.restrict(p) for q in d.quotients(*numerators)]
+    except MTError as exc:
+        return type(exc), str(exc)
+
+
+@given(kernel_series(max_trunc=64, unit=True), st.integers(0, 12),
+       st.lists(kernel_series(max_trunc=96), min_size=1, max_size=3),
+       st.integers(0, 48))
+@settings(max_examples=60, deadline=None)
+def test_quotients_through_p_read_operands_through_p_plus_their_order(
+        unit, ob, numerators, p):
+    # the capped top level of tower._climb rests on this
+    d = unit.shift(ob)
+    cut = p + ob
+    assert (quotients_through(p, d.restrict(cut), [n.restrict(cut) for n in numerators])
+            == quotients_through(p, d, numerators))
 
 
 @given(kernel_series(max_trunc=40, max_bits=16),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from mtower.catalog import NORMAL_FORMS
 from mtower.curves import CurveGerm, monomial_curve
-from mtower.diffeo import DiffeoJet
+from mtower.diffeo import DiffeoJet, prolong_apply
 from mtower.errors import DomainError, InsufficientTruncation, MTError
 from mtower.jets import PolyJet3
 from mtower.series import TruncSeries
@@ -125,28 +125,44 @@ signs = st.sampled_from((-1, 1))
 
 
 @st.composite
+def catalog_tables(draw):
+    """Coefficient tables of a catalog normal form with 0-2 perturbation
+    terms, to be read at any truncation."""
+    comps = [s.coeffs for s in
+             monomial_curve(*draw(st.sampled_from(CATALOG))).components]
+    for _ in range(draw(st.integers(0, 2))):
+        comps[draw(st.integers(0, 2))][draw(st.integers(1, 14))] = draw(nonzero)
+    return comps
+
+
+def curve_at(tables, trunc):
+    return CurveGerm(*(TruncSeries(table, trunc) for table in tables))
+
+
+@st.composite
+def degree_two_jets(draw):
+    """Degree-2 jets with coefficients +-1."""
+    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    quadratic = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
+    jet = []
+    for i in range(3):
+        # unit upper-triangular signs keep the linear part invertible
+        table = {axes[i]: draw(signs)}
+        for j in range(i + 1, 3):
+            table[axes[j]] = draw(st.sampled_from((-1, 0, 1)))
+        table[quadratic[draw(st.integers(0, 5))]] = draw(signs)
+        table[quadratic[draw(st.integers(0, 5))]] = draw(signs)
+        jet.append(table)
+    return DiffeoJet(PolyJet3(jet, 2))
+
+
+@st.composite
 def moved_catalog_curves(draw):
     """Catalog normal forms at trunc 1-24 with 0-2 perturbation terms,
     optionally moved by a degree-2 jet with coefficients +-1."""
-    trunc = draw(st.integers(1, 24))
-    comps = [s.coeffs for s in
-             monomial_curve(*draw(st.sampled_from(CATALOG)), trunc=trunc).components]
-    for _ in range(draw(st.integers(0, 2))):
-        comps[draw(st.integers(0, 2))][draw(st.integers(1, 14))] = draw(nonzero)
-    c = CurveGerm(*(TruncSeries(table, trunc) for table in comps))
+    c = curve_at(draw(catalog_tables()), draw(st.integers(1, 24)))
     if draw(st.booleans()):
-        axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-        quadratic = ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2))
-        jet = []
-        for i in range(3):
-            # unit upper-triangular signs keep the linear part invertible
-            table = {axes[i]: draw(signs)}
-            for j in range(i + 1, 3):
-                table[axes[j]] = draw(st.sampled_from((-1, 0, 1)))
-            table[quadratic[draw(st.integers(0, 5))]] = draw(signs)
-            table[quadratic[draw(st.integers(0, 5))]] = draw(signs)
-            jet.append(table)
-        c = DiffeoJet(PolyJet3(jet, 2)).apply_to_curve(c)
+        c = draw(degree_two_jets()).apply_to_curve(c)
     return c
 
 
@@ -287,3 +303,21 @@ def test_climb_matches_the_full_prolongation(c, k):
     else:
         assert point == pc
     assert outcome(rvt_code, c, k) == outcome(reference_rvt_code, c, k)
+
+
+@given(catalog_tables(), degree_two_jets(), st.integers(1, 4), st.integers(1, 24))
+@settings(max_examples=200, deadline=None)
+def test_a_low_truncation_answers_as_trunc_64_or_refuses(tables, phi, k, trunc):
+    # a shortfall is InsufficientTruncation, never another point, word or error
+    def check(fn):
+        low = outcome(fn, trunc)
+        assert low == outcome(fn, 64) or (
+            isinstance(low, tuple) and low[0] is InsufficientTruncation)
+
+    for curve in (lambda t: curve_at(tables, t),
+                  lambda t: phi.apply_to_curve(curve_at(tables, t))):
+        check(lambda t: prolong_point(curve(t), k))
+        check(lambda t: rvt_code(curve(t), k))
+    p = outcome(prolong_point, curve_at(tables, 64), k)
+    if isinstance(p, TowerPoint):
+        check(lambda t: prolong_apply(phi, p, t))

@@ -17,7 +17,8 @@ from .curves import CurveGerm
 from .errors import DomainError
 from .jets import Mono, PolyJet3, monomials
 from .series import DEFAULT_TRUNC, Rational, _as_fraction
-from .tower import TowerPoint, point_above, prolong_point, realize_point
+from .tower import (TowerPoint, point_above, prolong_point, prolong_point_over,
+                    realize_point)
 
 #: Default total degree for diffeomorphism jets.
 DEFAULT_JET_DEGREE = 8
@@ -75,10 +76,20 @@ def prolong_apply(phi: DiffeoJet, p: TowerPoint,
     return prolong_point(image, p.level)
 
 
+def _image_over(phi: DiffeoJet, q: TowerPoint, p: TowerPoint,
+                trunc: int) -> TowerPoint | None:
+    """Image of ``q`` under the prolonged jet when it lies over ``p``, else
+    None, decided at the first level where the image leaves ``p``."""
+    image = phi.apply_to_curve(realize_point(q, trunc))
+    return prolong_point_over(image, q.level, p)
+
+
 def isotropy_check(phi: DiffeoJet, p: TowerPoint,
                    trunc: int = DEFAULT_TRUNC) -> bool:
-    """True when the prolonged jet fixes ``p`` exactly."""
-    return prolong_apply(phi, p, trunc) == p
+    """True when the prolonged jet fixes ``p`` exactly; False from the
+    first level where the image leaves ``p``, even if a level above it
+    would need more than ``trunc``."""
+    return p.level == 0 or _image_over(phi, p, p, trunc) is not None
 
 
 FiberDirection = tuple[Fraction, Fraction]
@@ -92,7 +103,8 @@ def fiber_action(phi: DiffeoJet, p: TowerPoint,
     Each direction is a pair (b, c) spanning b*d/du + c*d/dv inside the
     vertical plane over ``p``; the image pairs are read off the prolonged
     image points one level up. Every pair is checked before any point is
-    prolonged.
+    realized. The jet fixes ``p`` when each image lies over ``p``, since
+    prolongation commutes with projection.
     """
     pairs: list[FiberDirection] = []
     for pair in directions:
@@ -102,11 +114,14 @@ def fiber_action(phi: DiffeoJet, p: TowerPoint,
         if b == 0 and c == 0:
             raise DomainError("the zero direction cannot be acted on")
         pairs.append((b, c))
-    if not isotropy_check(phi, p, trunc):
+    if not pairs and not isotropy_check(phi, p, trunc):
+        # no direction image to read fixedness off
         raise DomainError("fiber_action requires a jet fixing the point")
     out: list[FiberDirection] = []
     for b, c in pairs:
-        q_image = prolong_apply(phi, point_above(p, (Fraction(0), b, c)), trunc)
+        q_image = _image_over(phi, point_above(p, (Fraction(0), b, c)), p, trunc)
+        if q_image is None:
+            raise DomainError("fiber_action requires a jet fixing the point")
         a, b, c = q_image.step_direction(p.level + 1)
         if a != 0:
             raise AssertionError("image of a vertical direction left the fiber")

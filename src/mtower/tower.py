@@ -327,7 +327,8 @@ def _check_level(k: int) -> None:
         raise DomainError("prolongation level must be at least 1")
 
 
-def _climb(c: CurveGerm, k: int, full: bool = False) -> _Climb:
+def _climb(c: CurveGerm, k: int, full: bool = False,
+           over: TowerPoint | None = None) -> _Climb | None:
     """Go up the tower once to level ``k`` along the curve's prolongation,
     by the chart rule of :func:`prolong_curve`. A level's fiber series are
     computed only when the next level's derivatives need them. Unless
@@ -335,7 +336,10 @@ def _climb(c: CurveGerm, k: int, full: bool = False) -> _Climb:
     to degree 2m + 1, m the order cancelled there: the old denominator's
     derivative has order m, so the level-k direction is read at a degree
     <= m, and quotients by a series of order m are exact through m + 1 from
-    operands through 2m + 1."""
+    operands through 2m + 1. Given a point ``over``, the climb is None at
+    the first level j <= over.level whose chart step or fiber coordinates
+    differ from its own: those are exact values, so the top point is
+    certainly not over it, and the levels above are never computed."""
     _check_level(k)
     if c.is_constant():
         raise InsufficientTruncation("the curve vanishes up to truncation")
@@ -355,6 +359,9 @@ def _climb(c: CurveGerm, k: int, full: bool = False) -> _Climb:
         derivs = tuple(s.derivative() for s in active)
         direction, cancelled = _direction_of(derivs, j)
         letter, (d, u, v), arrangement = _step(arrangement, direction, j)
+        if (over is not None and j <= over.level
+                and (d, u, v) != (over.chart[j - 1], *over.fiber_coords(j))):
+            return None
         letters.append(letter)
         chart.append(d)
         coords.extend((u, v))
@@ -396,6 +403,14 @@ def prolong_point(c: CurveGerm, k: int) -> TowerPoint:
     series that the point does not read.
     """
     return _climb(c, k).point
+
+
+def prolong_point_over(c: CurveGerm, k: int, p: TowerPoint) -> TowerPoint | None:
+    """``prolong_point(c, k)`` when its chart steps and fiber coordinates
+    through p.level are those of ``p``, else None, decided at the first
+    level that differs: a shortfall above that level is never reached."""
+    top = _climb(c, k, over=p)
+    return None if top is None else top.point
 
 
 def prolong_curve(c: CurveGerm, k: int) -> ProlongedCurve:

@@ -13,8 +13,7 @@ from mtower.diffeo import (DiffeoJet, fiber_action, isotropy_check,
 from mtower.errors import DomainError, InsufficientTruncation
 from mtower.jets import PolyJet3
 from mtower.series import TruncSeries
-from mtower.tower import (point_above, prolong_curve, prolong_point,
-                          realize_point, rvt_code)
+from mtower.tower import point_above, prolong_curve, realize_point, rvt_code
 
 F = Fraction
 
@@ -197,6 +196,17 @@ def test_targeted_violations_fail_isotropy():
             assert not isotropy_check(phi, rep)
 
 
+def test_isotropy_answers_below_a_shortfall_above():
+    # phi3_y moves the level-4 chain point at level 2; at trunc 8 its image
+    # is short of the levels above, which the check never climbs
+    q10 = rvvv_points()[0]
+    phi = DiffeoJet(PolyJet3([{X: 1}, {Y: 1}, {Z: 1, Y: 1}], 8))
+    with pytest.raises(InsufficientTruncation):
+        prolong_apply(phi, q10, trunc=8)
+    assert prolong_apply(phi, q10).fiber_coords(2) != q10.fiber_coords(2)
+    assert not isotropy_check(phi, q10, trunc=8)
+
+
 def rand_nonzero(rng):
     while True:
         q = F(rng.randint(-5, 5), rng.randint(1, 3))
@@ -216,23 +226,48 @@ def test_identity_fixes_every_fiber_direction():
 def test_fiber_action_requires_isotropy():
     p2 = rv_representative()
     phi = DiffeoJet(PolyJet3([{X: 1}, {Y: 1}, {Z: 1, Y: 1}], 8))
-    with pytest.raises(DomainError):
-        fiber_action(phi, p2, [(1, 0)])
+    for directions in ([(1, 0)], [(1, 0), (1, 1)], []):
+        with pytest.raises(DomainError) as error:
+            fiber_action(phi, p2, directions)
+        assert str(error.value) == "fiber_action requires a jet fixing the point"
+
+
+def counted_realizations(monkeypatch):
+    """The points diffeo realizes from now on, in call order."""
+    realized = []
+
+    def counted(q, *args):
+        realized.append(q)
+        return realize_point(q, *args)
+
+    monkeypatch.setattr(diffeo, "realize_point", counted)
+    return realized
 
 
 @pytest.mark.parametrize("bad", [(0, 0), (1, 0, 0)])
 def test_fiber_action_checks_every_direction_before_prolonging(monkeypatch, bad):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return prolong_point(*args)
-
-    monkeypatch.setattr(diffeo, "prolong_point", counted)
+    realized = counted_realizations(monkeypatch)
     with pytest.raises(DomainError, match="zero direction|pairs"):
         fiber_action(DiffeoJet.identity(), rvv_representative(),
                      [(1, 0), (1, 1), bad])
-    assert calls == []
+    assert realized == []
+
+
+def test_fiber_action_realizes_one_point_per_direction(monkeypatch):
+    # fixedness is read off the direction images: p itself is not realized
+    realized = counted_realizations(monkeypatch)
+    p3 = rvv_representative()
+    dirs = [(1, 0), (0, 1), (1, 1)]
+    assert fiber_action(DiffeoJet.diagonal(1, 1, 2), p3, dirs) == \
+        [(1, 0), (0, 1), (1, 2)]
+    assert realized == [point_above(p3, (0, b, c)) for b, c in dirs]
+
+
+def test_fiber_action_with_no_directions_still_checks_the_point(monkeypatch):
+    realized = counted_realizations(monkeypatch)
+    p3 = rvv_representative()
+    assert fiber_action(DiffeoJet.diagonal(1, 1, 2), p3, []) == []
+    assert realized == [p3]
 
 
 def test_sampled_isotropy_jets_fix_first_axis():

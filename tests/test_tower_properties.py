@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mtower.catalog import NORMAL_FORMS
+from mtower.census import rvv_point, rvvv_points
 from mtower.curves import CurveGerm, monomial_curve
-from mtower.diffeo import DiffeoJet, prolong_apply
+from mtower.diffeo import (DiffeoJet, isotropy_check, prolong_apply,
+                           taylor_constraints)
 from mtower.errors import DomainError, InsufficientTruncation, MTError
 from mtower.jets import PolyJet3
 from mtower.series import TruncSeries
@@ -321,3 +323,58 @@ def test_a_low_truncation_answers_as_trunc_64_or_refuses(tables, phi, k, trunc):
     p = outcome(prolong_point, curve_at(tables, 64), k)
     if isinstance(p, TowerPoint):
         check(lambda t: prolong_apply(phi, p, t))
+
+
+# -- isotropy answers at the first level where the image leaves the point ----
+
+CHAIN_POINTS = (rvv_point(),) + rvvv_points()
+
+
+@st.composite
+def catalog_points(draw):
+    """Level 1-4 points of perturbed or moved catalog curves, and the level-3
+    and level-4 chain points."""
+    source = draw(st.sampled_from(("tables", "moved", "chain")))
+    if source == "chain":
+        return draw(st.sampled_from(CHAIN_POINTS))
+    c = (curve_at(draw(catalog_tables()), 64) if source == "tables"
+         else draw(moved_catalog_curves()))
+    p = outcome(prolong_point, c, draw(st.integers(1, 4)))
+    assume(isinstance(p, TowerPoint))
+    return p
+
+
+@st.composite
+def staged_jets(draw):
+    """degree_two_jets, maybe with a +-1 linear term below the diagonal,
+    then with the Taylor coefficients of G1, G2 or G3 zeroed, or none. The
+    images of the points above leave them first at each of levels 1-4."""
+    tables = list(draw(degree_two_jets()).jet.components)
+    if draw(st.booleans()):
+        component, axis = draw(st.sampled_from(((2, (1, 0, 0)), (3, (1, 0, 0)),
+                                                (3, (0, 1, 0)))))
+        tables[component - 1][axis] = draw(signs)
+    stage = draw(st.sampled_from((None, "G1", "G2", "G3")))
+    if stage is not None:
+        for c in taylor_constraints(stage).constraints:
+            tables[c.component - 1].pop(c.index, None)
+    jet = PolyJet3(tables, 2)
+    assume(jet.linear_det() != 0)
+    return DiffeoJet(jet)
+
+
+@given(catalog_points(), staged_jets(),
+       st.one_of(st.integers(1, 24), st.just(64)))
+@settings(max_examples=200, deadline=None)
+def test_isotropy_check_agrees_with_the_full_image(p, phi, trunc):
+    # the check may answer False where the full image is short of trunc,
+    # never anything else
+    image = outcome(prolong_apply, phi, p, trunc)
+    fixed = outcome(isotropy_check, phi, p, trunc)
+    if isinstance(image, TowerPoint):
+        assert fixed == (image == p)
+    else:
+        assert fixed in (image, False)
+    if fixed is False:
+        at_64 = outcome(prolong_apply, phi, p, 64)
+        assert not isinstance(at_64, TowerPoint) or at_64 != p

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .curves import CurveGerm
 from .errors import DomainError, InsufficientTruncation
@@ -63,18 +63,22 @@ class Semigroup:
         """Witness polynomial for ``n``, synthesized past the bound when ``n``
         decomposes as a stored element plus component orders.
 
-        Multiplying a stored witness by a coordinate monomial adds the
-        component orders exactly, so the synthesized order is certified too.
-        A stored witness is shared: callers must not modify it.
+        The largest stored element that works is taken, times the
+        lexicographically largest monomial whose weighted degree in the
+        component orders is exactly the rest. Multiplying a stored witness by
+        a coordinate monomial adds the component orders exactly, so the
+        synthesized order is certified too. A stored witness is shared:
+        callers must not modify it.
         """
         if n in self.witnesses:
             return self.witnesses[n]
-        orders = [(i, o) for i, o in enumerate(self.component_orders)
-                  if o is not None and o > 0]
+        wx, wy, wz = (w or 0 for w in self.component_orders)
         for base in sorted(self.witnesses, reverse=True):
-            mono = _order_decomposition(n - base, orders)
-            if mono is not None:
-                return _poly_mul_mono(self.witnesses[base], mono)
+            rest = n - base
+            for mono in reversed(monomials(rest, self.component_orders)):
+                i, j, k = mono
+                if i * wx + j * wy + k * wz == rest:
+                    return _poly_mul_mono(self.witnesses[base], mono)
         raise DomainError(f"{n} has no certified witness up to bound {self.bound}")
 
 
@@ -83,48 +87,12 @@ def _poly_mul_mono(poly: IntPoly, mono: Mono) -> IntPoly:
              for m, x in poly[0].items()}, poly[1])
 
 
-def _order_decomposition(target: int,
-                         orders: list[tuple[int, int]]) -> Mono | None:
-    """Exponent triple with sum(e_i * order_i) == target, or None."""
-    if target < 0:
-        return None
-    if target == 0:
-        return (0, 0, 0)
-    reachable: dict[int, Mono] = {0: (0, 0, 0)}
-    for value in range(1, target + 1):
-        for axis, o in orders:
-            prev = reachable.get(value - o)
-            if prev is not None:
-                e = list(prev)
-                e[axis] += 1
-                reachable[value] = (e[0], e[1], e[2])
-                break
-    return reachable.get(target)
-
-
 def poly_on_curve(poly: IntPoly, c: CurveGerm,
                   products: dict[Mono, TruncSeries] | None = None) -> TruncSeries:
     """Compose a polynomial in (x, y, z), in integer form, with the curve;
     ``products`` keeps the monomial products of its components as in
     :func:`series.evaluate_polys`."""
     return next(evaluate_polys([poly], *on_series(*c.components), products=products))
-
-
-def _monomials_within(orders: Sequence[int | None], bound: int) -> list[Mono]:
-    """Exponent triples whose composition order can reach the bound."""
-    out: list[Mono] = []
-    ox, oy, oz = orders
-    max_i = bound // ox if ox else 0
-    for i in range(max_i + 1):
-        rem_i = bound - i * (ox or 0)
-        max_j = rem_i // oy if oy else 0
-        for j in range(max_j + 1):
-            rem_j = rem_i - j * (oy or 0)
-            max_k = rem_j // oz if oz else 0
-            for k in range(max_k + 1):
-                if i + j + k >= 1:
-                    out.append((i, j, k))
-    return out
 
 
 def _cleared(vec: dict[int, int], wit: dict[Mono, int], den: int,
@@ -181,8 +149,7 @@ def semigroup(c: CurveGerm, bound: int = DEFAULT_SEMIGROUP_BOUND) -> Semigroup:
         raise InsufficientTruncation(
             f"semigroup bound {bound} exceeds curve truncation {c.trunc}")
     orders = tuple(s.order() for s in c.components)
-    usable = tuple(o if o is not None and o <= bound else None for o in orders)
-    monos = _monomials_within(usable, bound)
+    monos = monomials(bound, orders)
     columns = evaluate_polys((({m: 1}, 1) for m in monos),
                              *on_series(*c.restrict(bound).components))
     # a row (vec, wit, den) is the composed series vec/den and its witness

@@ -94,13 +94,21 @@ def poly_scaled_sum(terms: Iterable[tuple[int, IntPoly]], den: int) -> IntPoly:
     return _canonical(acc, common * den)
 
 
-def monomials(degree: int) -> list[Mono]:
-    """Exponent triples of total degree 1..``degree``, in lexicographic order."""
+def monomials(bound: int,
+              weights: Sequence[int | None] = (1, 1, 1)) -> list[Mono]:
+    """Exponent triples other than (0, 0, 0) of weighted degree
+    i*w1 + j*w2 + k*w3 <= ``bound``, in lexicographic order; an axis of
+    weight None never occurs. The default weights give total degree."""
+    wx, wy, wz = (w or 0 for w in weights)
+
+    def top(room: int, w: int) -> int:
+        return room // w if w else 0
+
     return [(i, j, k)
-            for i in range(degree + 1)
-            for j in range(degree + 1 - i)
-            for k in range(degree + 1 - i - j)
-            if i + j + k]
+            for i in range(top(bound, wx) + 1)
+            for j in range(top(bound - i * wx, wy) + 1)
+            for k in range(top(bound - i * wx - j * wy, wz) + 1)
+            if i or j or k]
 
 
 def jet_from_polys(comps: Sequence[IntPoly], degree: int) -> "PolyJet3":

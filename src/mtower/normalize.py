@@ -19,7 +19,7 @@ from .errors import DomainError, MTError
 from .invariants import (DEFAULT_PLANARITY_ORDER, DEFAULT_SEMIGROUP_BOUND,
                          Semigroup, multiplicity, planarity, poly_on_curve,
                          semigroup, well_parameterized)
-from .jets import IntPoly, PolyJet3, jet_from_polys, poly_scaled_sum
+from .jets import IntPoly, PolyJet3, jet_from_polys, monomials, poly_scaled_sum
 from .series import TruncSeries
 from .tower import rvt_code, word_str
 
@@ -151,9 +151,8 @@ def monomialize_first(r: Reduction) -> None:
 
 
 def _gap_exponents(y: TruncSeries, n: int, m: int) -> list[int]:
-    members = {a * n + b * m
-               for a in range(y.trunc // n + 1)
-               for b in range(y.trunc // m + 1)}
+    """The exponents of y past m outside the semigroup generated by n and m."""
+    members = {a * n + b * m for a, b, _ in monomials(y.trunc, (n, m, None))}
     return [d for d in y.numerators()[0] if d > m and d not in members]
 
 
@@ -263,28 +262,17 @@ def kill_semigroup_terms(r: Reduction, s: Semigroup) -> None:
 
 
 def _fraction_nth_root(q: Fraction, k: int) -> Fraction | None:
-    if q <= 0:
-        return None
+    """The rational k-th root of q > 0, or None when it is irrational."""
+    def iroot(n: int) -> int:
+        # floor(n ** (1/k)) for n >= 1: Newton's step from above decreases
+        # until it reaches the floor
+        r = 1 << -(-n.bit_length() // k)
+        while (s := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = s
+        return r
 
-    def iroot(n: int) -> int | None:
-        if n == 0:
-            return 0
-        lo, hi = 1, 1
-        while hi ** k < n:
-            hi *= 2
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid ** k < n:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo if lo ** k == n else None
-
-    num = iroot(q.numerator)
-    den = iroot(q.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
+    root = Fraction(iroot(q.numerator), iroot(q.denominator))
+    return root if root ** k == q else None
 
 
 def scale_normalize(r: Reduction) -> None:

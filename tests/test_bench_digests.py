@@ -1,9 +1,11 @@
 """Benchmark outputs against the digests the benchmark recorded.
 
 Every pool member of variant 0 of the ``normalize`` workload
-(``mtbench/workloads.py``) whose truncation is at most 24 runs here: ``mt
-reduce`` and ``mt replay`` at 24, ``mt equiv`` at 16, 20 and 24, and the four
-separated pairs. Of the ``invariants`` workload, every semigroup item of all
+(``mtbench/workloads.py``) whose truncation is at most 32 runs here: ``mt
+reduce`` and ``mt replay`` at 24 and 32, ``mt equiv`` at 16, 20 and 24, and the
+four separated pairs. Past trunc 24 the reductions ask
+``Semigroup.witness_for`` for witnesses beyond the semigroup bound, so the
+synthesized witnesses are checked too. Of the ``invariants`` workload, every semigroup item of all
 variants runs, and the sparse and variant-0 planarity and RVT items and the
 census. Of the ``action`` workload, every variant-0 item runs, each
 ``fiber_action`` only after its isotropy check returned True, as in the
@@ -17,10 +19,10 @@ import re
 from pathlib import Path
 
 MTBENCH = Path(__file__).resolve().parent.parent / "mtbench"
-MAX_TRUNC = 24
+MAX_TRUNC = 32
 
 
-def test_normalize_digests_through_trunc_24(tmp_path, monkeypatch):
+def test_normalize_digests_through_trunc_32(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(MTBENCH))
     import workloads
 
@@ -35,7 +37,7 @@ def test_normalize_digests_through_trunc_24(tmp_path, monkeypatch):
     # pool order runs each reduce before the replay of its trace
     items = [item for item in wl.pool()
              if item.key.endswith("/v0") and trunc(item.key) <= MAX_TRUNC]
-    assert len(items) == 44
+    assert len(items) == 60
     wrong = []
     for item in items:
         result = item.call()

@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -16,10 +17,9 @@ from mtower.catalog import NORMAL_FORMS
 from mtower.curves import CurveGerm, monomial_curve
 from mtower.diffeo import sample_diffeo
 from mtower.errors import DomainError, InsufficientTruncation
-from mtower.invariants import (_cleared, _monomials_within, multiplicity,
-                               planarity, poly_on_curve, semigroup,
-                               well_parameterized)
-from mtower.jets import PolyJet3, integer_poly
+from mtower.invariants import (Semigroup, _cleared, multiplicity, planarity,
+                               poly_on_curve, semigroup, well_parameterized)
+from mtower.jets import PolyJet3, integer_poly, monomials
 from mtower.series import TruncSeries
 
 F = Fraction
@@ -147,6 +147,40 @@ def test_witness_refused_for_gaps_past_the_bound():
         s.witness_for(27)
 
 
+def order_decompositions(top, orders):
+    """The exponent triples that witness synthesis took before the one
+    enumeration, for the values 1..top that have one: the programme extends
+    each value by the lowest axis whose predecessor is reachable."""
+    reachable = {0: (0, 0, 0)}
+    for value in range(1, top + 1):
+        for axis, o in orders:
+            prev = reachable.get(value - o)
+            if prev is not None:
+                e = list(prev)
+                e[axis] += 1
+                reachable[value] = tuple(e)
+                break
+    del reachable[0]
+    return reachable
+
+
+def test_witness_synthesis_keeps_the_programme_decomposition():
+    # with the constant as the only stored witness, the synthesized witness
+    # for n is the monomial chosen for n itself: the lexicographically
+    # largest one of weighted degree n, which the programme built too
+    one = ({(0, 0, 0): 1}, 1)
+    for orders in product((None, *range(1, 10)), repeat=3):
+        s = Semigroup((), (), 0, None, {0: one}, orders)
+        chosen = order_decompositions(
+            60, [(i, o) for i, o in enumerate(orders) if o is not None])
+        for n in range(1, 61):
+            if n in chosen:
+                assert s.witness_for(n) == ({chosen[n]: 1}, 1)
+            else:
+                with pytest.raises(DomainError):
+                    s.witness_for(n)
+
+
 def test_semigroup_invariance_under_random_moves():
     rng = random.Random(17)
     for exponents in [(2, 3, None), (3, 5, 7), (3, 4, 5)]:
@@ -179,7 +213,7 @@ def fraction_semigroup(c, bound):
                    for o in (s.order() for s in c.components))
     low = c.restrict(bound)
     rows = [(poly_on_curve(({m: 1}, 1), low).coeffs, {m: F(1)})
-            for m in _monomials_within(usable, bound)]
+            for m in monomials(bound, usable)]
     rows.sort(key=lambda r: min(r[0]) if r[0] else bound + 1)
     pivots = {}
     for vec, wit in rows:

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import ceil, gcd, log2
 
 import pytest
@@ -501,3 +501,26 @@ def test_inverse_doubles_its_exact_degree_per_pass(monkeypatch):
         # two compositions per pass, so a pass per degree is too many
         assert len(calls) == 2 * ceil(log2(degree))
         assert original(phi, inv, degree) == PolyJet3.identity(degree)
+
+
+WEIGHTS = (None, 1, 2, 3, 5, 7, 14)
+
+
+@pytest.mark.parametrize("bound", range(-1, 13))
+def test_monomials_filter_the_weighted_box(bound):
+    box = [e for e in product(range(max(bound, 0) + 1), repeat=3) if any(e)]
+    for weights in product(WEIGHTS, repeat=3):
+        # an axis of weight None weighs more than the bound, so it never
+        # occurs; neither does one of a finite weight above the bound
+        a, b, c = (bound + 1 if w is None else w for w in weights)
+        expected = [e for e in box if e[0] * a + e[1] * b + e[2] * c <= bound]
+        assert monomials(bound, weights) == expected
+
+
+@pytest.mark.parametrize("degree", range(-1, 13))
+def test_monomials_default_to_total_degree(degree):
+    assert monomials(degree) == [(i, j, k)
+                                 for i in range(degree + 1)
+                                 for j in range(degree + 1 - i)
+                                 for k in range(degree + 1 - i - j)
+                                 if i + j + k]

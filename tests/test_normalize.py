@@ -17,7 +17,8 @@ from mtower.invariants import (multiplicity, poly_on_curve, semigroup,
 from mtower.jets import PolyJet3, integer_poly
 from mtower.normalize import (JetStep, Reduction, ReductionTrace, ReparamStep,
                               ScaleStep, TraceEntry, _compose_trace,
-                              _removal_jet, apply_certificate,
+                              _fraction_nth_root, _removal_jet,
+                              apply_certificate,
                               equivalence_search, kill_semigroup_terms,
                               monomialize_first, reduce_catalog,
                               scale_normalize, zariski_step)
@@ -329,6 +330,41 @@ def test_scale_leaves_non_square_class_alone():
     c = curve({3: 1}, {5: 1, 7: 2}, {})
     out = run(scale_normalize, c).curve
     assert out.y.coefficient(7) == 2
+
+
+def bisection_root(q, k):
+    """The rational k-th root of q > 0 or None, with each integer root found
+    by doubling an upper bound and bisecting."""
+    def iroot(n):
+        lo, hi = 1, 1
+        while hi ** k < n:
+            hi *= 2
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid ** k < n:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo if lo ** k == n else None
+
+    num, den = iroot(q.numerator), iroot(q.denominator)
+    return None if num is None or den is None else F(num, den)
+
+
+def test_fraction_nth_root_matches_bisection():
+    rng = random.Random(37)
+    for k in range(1, 9):
+        # perfect powers, small and of up to 600 bits, their neighbours and
+        # random integers
+        powers = [b ** k for b in range(1, 20)]
+        powers += [(rng.getrandbits(rng.randint(1, 600 // k)) + 1) ** k
+                   for _ in range(20)]
+        ints = [n + d for n in powers for d in (-1, 0, 1) if n + d > 0]
+        ints += [rng.getrandbits(rng.randint(1, 600)) + 1 for _ in range(20)]
+        for num in ints:
+            for den in rng.sample(ints, 10) + [1]:
+                q = F(num, den)
+                assert _fraction_nth_root(q, k) == bisection_root(q, k), (q, k)
 
 
 def test_scale_idempotent():

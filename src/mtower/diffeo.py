@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .curves import CurveGerm
 from .errors import DomainError
@@ -48,13 +48,6 @@ class DiffeoJet:
     @property
     def degree(self) -> int:
         return self.jet.degree
-
-    def coefficient(self, component: int, mono: Mono) -> Fraction:
-        """Taylor coefficient of x^i y^j z^k in one component.
-
-        The partial derivative at 0 is this coefficient times i! j! k!.
-        """
-        return self.jet.coefficient(component, mono)
 
     def apply_to_curve(self, c: CurveGerm) -> CurveGerm:
         return c.map_jet(self.jet)
@@ -131,48 +124,21 @@ def fiber_action(phi: DiffeoJet, p: TowerPoint,
 
 # -- isotropy constraint sets -------------------------------------------------
 
-
-@dataclass(frozen=True)
-class TaylorConstraint:
-    """One vanishing Taylor coefficient: component phi^c, derivative index."""
-
-    component: int
-    index: Mono
-
-    def __str__(self) -> str:
-        names = "xyz"
-        suffix = "".join(names[i] * n for i, n in enumerate(self.index))
-        return f"phi{self.component}_{suffix}(0) = 0"
-
-    def satisfied_by(self, phi: DiffeoJet) -> bool:
-        return phi.coefficient(self.component, self.index) == 0
-
-
-@dataclass(frozen=True)
-class IsotropyConstraintSet:
-    stage: str
-    constraints: tuple[TaylorConstraint, ...]
-
-    def satisfied_by(self, phi: DiffeoJet) -> bool:
-        return all(c.satisfied_by(phi) for c in self.constraints)
-
-    def __str__(self) -> str:
-        return f"{self.stage}: " + ", ".join(str(c) for c in self.constraints)
-
-
-_G1 = (TaylorConstraint(2, (1, 0, 0)), TaylorConstraint(3, (1, 0, 0)))
-_G2 = _G1 + (TaylorConstraint(3, (0, 1, 0)),)
-_G3 = _G2 + (TaylorConstraint(3, (2, 0, 0)),)
+#: The Taylor coefficients (component, monomial) whose vanishing cuts out the
+#: isotropy groups G1-G3 of the chain points at levels 1-3; each stage adds one.
+_G1 = ((2, (1, 0, 0)), (3, (1, 0, 0)))
+_G2 = _G1 + ((3, (0, 1, 0)),)
+_G3 = _G2 + ((3, (2, 0, 0)),)
 
 _STAGES = {"G1": _G1, "G2": _G2, "G3": _G3}
 
 
-def taylor_constraints(stage: str) -> IsotropyConstraintSet:
-    """Vanishing constraints cutting out the isotropy groups along the chain
-    of representative points at levels 1, 2 and 3."""
+def taylor_constraints(stage: str) -> tuple[tuple[int, Mono], ...]:
+    """The (component, monomial) pairs of the Taylor coefficients whose
+    vanishing cuts out stage G1, G2 or G3, in the order the stages add them."""
     if stage not in _STAGES:
         raise DomainError("stage must be one of G1, G2, G3")
-    return IsotropyConstraintSet(stage, _STAGES[stage])
+    return _STAGES[stage]
 
 
 # -- sampling -------------------------------------------------------------------
@@ -187,29 +153,25 @@ def rand_fraction(rng: random.Random, allow_zero: bool = True) -> Fraction:
 
 
 def sample_diffeo(rng: random.Random, degree: int = 3,
-                  constraints: IsotropyConstraintSet | None = None,
-                  forced: dict[tuple[int, Mono], Rational] | None = None,
+                  pinned: Mapping[tuple[int, Mono], Rational] | None = None,
                   jet_degree: int = DEFAULT_JET_DEGREE) -> DiffeoJet:
     """Random diffeomorphism jet with small rational coefficients.
 
-    ``constraints`` zeroes the named Taylor coefficients, ``forced`` pins
-    specific ones afterwards; the linear part is resampled until invertible.
+    ``pinned`` sets the named Taylor coefficients {(component, monomial):
+    value} after sampling, 0 included; the linear part is resampled until
+    invertible.
     """
     monos = monomials(degree)
     while True:
-        comps: list[dict[Mono, Fraction]] = []
+        comps: list[dict[Mono, Rational]] = []
         for _ in range(3):
-            table: dict[Mono, Fraction] = {}
+            table: dict[Mono, Rational] = {}
             for mono in monos:
                 if sum(mono) == 1 or rng.random() < 0.4:
                     table[mono] = rand_fraction(rng)
             comps.append(table)
-        if constraints is not None:
-            for c in constraints.constraints:
-                comps[c.component - 1].pop(c.index, None)
-        if forced:
-            for (component, mono), value in forced.items():
-                comps[component - 1][mono] = _as_fraction(value)
+        for (component, mono), value in (pinned or {}).items():
+            comps[component - 1][mono] = value
         jet = PolyJet3(comps, jet_degree)
         if jet.linear_det() != 0:
             return DiffeoJet(jet)

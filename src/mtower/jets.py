@@ -161,7 +161,8 @@ class PolyJet3:
                      for num, den in self._comps)
 
     def coefficient(self, component: int, mono: Mono) -> Fraction:
-        """Coefficient of x^i y^j z^k in component 1, 2 or 3."""
+        """Coefficient of x^i y^j z^k in component 1, 2 or 3; the partial
+        derivative at 0 is this coefficient times i! j! k!."""
         if component not in (1, 2, 3):
             raise DomainError("component index must be 1, 2 or 3")
         num, den = self._comps[component - 1]

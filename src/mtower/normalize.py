@@ -322,7 +322,7 @@ def _pipeline(c: CurveGerm, bound: int) -> Reduction:
     if not r.curve.x.is_zero():
         monomialize_first(r)
     x, y, z = r.curve.components
-    if z.is_zero() and not x.is_zero() and not y.is_zero():
+    if z.is_zero() and not x.is_zero() and not y.is_zero() and x.order() < y.order():
         while zariski_step(r):
             pass
     cur = r.curve

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,16 +12,27 @@ from mtower.curves import monomial_curve
 from mtower.diffeo import (DiffeoJet, fiber_action, isotropy_check,
                            prolong_apply, sample_diffeo, taylor_constraints)
 from mtower.errors import DomainError, InsufficientTruncation
-from mtower.jets import PolyJet3
+from mtower.jets import PolyJet3, monomials
 from mtower.series import TruncSeries
 from mtower.tower import point_above, prolong_curve, realize_point, rvt_code
 
 F = Fraction
+MTBENCH = Path(__file__).resolve().parent.parent / "mtbench"
 
 X, Y, Z = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 
 CUSP = monomial_curve(2, 3, None)
 LINE = monomial_curve(1, None, None)
+
+
+def zeroed(stage):
+    """The pinned mapping that zeroes the Taylor coefficients of ``stage``."""
+    return dict.fromkeys(taylor_constraints(stage), 0)
+
+
+def vanishes(phi, stage):
+    return all(phi.jet.coefficient(component, mono) == 0
+               for component, mono in taylor_constraints(stage))
 
 
 def rv_representative():
@@ -93,7 +105,7 @@ def test_level_one_action_matches_pushforward_formula():
         phi = sample_diffeo(rng, degree=2)
         u0 = F(rng.randint(-3, 3), rng.randint(1, 3))
         v0 = F(rng.randint(-3, 3), rng.randint(1, 3))
-        lin = [[phi.coefficient(i, axis) for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        lin = [[phi.jet.coefficient(i, axis) for axis in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
                for i in (1, 2, 3)]
         denom = lin[0][0] + u0 * lin[0][1] + v0 * lin[0][2]
         if denom == 0:
@@ -140,8 +152,8 @@ def test_identity_isotropy_everywhere():
 def test_phi3_y_violation_fails_at_rv_point():
     p2 = rv_representative()
     phi = DiffeoJet(PolyJet3([{X: 1}, {Y: 1}, {Z: 1, Y: F(1, 2)}], 8))
-    assert taylor_constraints("G1").satisfied_by(phi)
-    assert not taylor_constraints("G2").satisfied_by(phi)
+    assert vanishes(phi, "G1")
+    assert not vanishes(phi, "G2")
     assert not isotropy_check(phi, p2)
 
 
@@ -156,23 +168,26 @@ def test_sampled_g3_jets_fix_the_chain():
     p1 = prolong_curve(LINE, 1).point
     p2 = rv_representative()
     p3 = rvv_representative()
-    g3 = taylor_constraints("G3")
     for _ in range(10):
-        phi = sample_diffeo(rng, degree=2, constraints=g3)
+        phi = sample_diffeo(rng, degree=2, pinned=zeroed("G3"))
+        assert vanishes(phi, "G3")
         assert isotropy_check(phi, p1)
         assert isotropy_check(phi, p2)
         assert isotropy_check(phi, p3)
 
 
-def test_constraint_sets_grow_along_the_chain():
-    g1 = taylor_constraints("G1")
-    g2 = taylor_constraints("G2")
-    g3 = taylor_constraints("G3")
-    assert {str(c) for c in g1.constraints} == {"phi2_x(0) = 0", "phi3_x(0) = 0"}
-    assert {str(c) for c in g2.constraints} == \
-        {"phi2_x(0) = 0", "phi3_x(0) = 0", "phi3_y(0) = 0"}
-    assert {str(c) for c in g3.constraints} == \
-        {"phi2_x(0) = 0", "phi3_x(0) = 0", "phi3_y(0) = 0", "phi3_xx(0) = 0"}
+def test_constraint_sets_grow_along_the_chain(monkeypatch):
+    xx = (2, 0, 0)
+    assert taylor_constraints("G1") == ((2, X), (3, X))
+    assert taylor_constraints("G2") == ((2, X), (3, X), (3, Y))
+    assert taylor_constraints("G3") == ((2, X), (3, X), (3, Y), (3, xx))
+    for before, stage in [("G1", "G2"), ("G2", "G3")]:
+        assert taylor_constraints(stage)[:-1] == taylor_constraints(before)
+    # the action workload keeps its own copy of the table
+    monkeypatch.syspath_prepend(str(MTBENCH))
+    import workloads
+    assert workloads._STAGES == {None: (), **{stage: taylor_constraints(stage)
+                                              for stage in ("G1", "G2", "G3")}}
     with pytest.raises(DomainError):
         taylor_constraints("G4")
 
@@ -185,14 +200,13 @@ def test_targeted_violations_fail_isotropy():
     reps = {"G1": p1, "G2": p2, "G3": p3}
     previous = {"G1": None, "G2": "G1", "G3": "G2"}
     for stage, rep in reps.items():
-        new = taylor_constraints(stage).constraints[-1]
+        new = taylor_constraints(stage)[-1]
         base = previous[stage]
         for _ in range(5):
-            forced = {(new.component, new.index): rand_nonzero(rng)}
-            phi = sample_diffeo(
-                rng, degree=2,
-                constraints=taylor_constraints(base) if base else None,
-                forced=forced)
+            pinned = zeroed(base) if base else {}
+            pinned[new] = rand_nonzero(rng)
+            phi = sample_diffeo(rng, degree=2, pinned=pinned)
+            assert base is None or vanishes(phi, base)
             assert not isotropy_check(phi, rep)
 
 
@@ -212,6 +226,47 @@ def rand_nonzero(rng):
         q = F(rng.randint(-5, 5), rng.randint(1, 3))
         if q:
             return q
+
+
+def reference_sample_diffeo(rng, degree, constraints=(), forced=None):
+    """The sampler ``pinned`` replaced: ``constraints`` pops the (component,
+    monomial) pairs after the draw, then ``forced`` sets its pairs."""
+    while True:
+        comps = []
+        for _ in range(3):
+            table = {}
+            for mono in monomials(degree):
+                if sum(mono) == 1 or rng.random() < 0.4:
+                    table[mono] = diffeo.rand_fraction(rng)
+            comps.append(table)
+        for component, mono in constraints:
+            comps[component - 1].pop(mono, None)
+        for (component, mono), value in (forced or {}).items():
+            comps[component - 1][mono] = F(value)
+        jet = PolyJet3(comps, diffeo.DEFAULT_JET_DEGREE)
+        if jet.linear_det() != 0:
+            return DiffeoJet(jet)
+
+
+def test_pinned_sampler_matches_constraints_then_forced():
+    # nothing pinned; G1, G2 or G3 zeroed; nothing, G1 or G2 zeroed with the
+    # coefficient the next stage adds forced to a nonzero value drawn first
+    cases = [(None, None), ("G1", None), ("G2", None), ("G3", None),
+             (None, "G1"), ("G1", "G2"), ("G2", "G3")]
+    for seed in range(200):
+        for degree in (2, 3):
+            for zero_stage, next_stage in cases:
+                old_rng, new_rng = random.Random(seed), random.Random(seed)
+                constraints = taylor_constraints(zero_stage) if zero_stage else ()
+                forced, pinned = {}, dict.fromkeys(constraints, 0)
+                if next_stage is not None:
+                    added = taylor_constraints(next_stage)[-1]
+                    forced[added] = diffeo.rand_fraction(old_rng, allow_zero=False)
+                    pinned[added] = diffeo.rand_fraction(new_rng, allow_zero=False)
+                old = reference_sample_diffeo(old_rng, degree, constraints, forced)
+                new = sample_diffeo(new_rng, degree, pinned=pinned)
+                assert new == old
+                assert new_rng.getstate() == old_rng.getstate()
 
 
 # -- fiber action ------------------------------------------------------------------
@@ -273,9 +328,8 @@ def test_fiber_action_with_no_directions_still_checks_the_point(monkeypatch):
 def test_sampled_isotropy_jets_fix_first_axis():
     rng = random.Random(42)
     p3 = rvv_representative()
-    g3 = taylor_constraints("G3")
     for _ in range(10):
-        phi = sample_diffeo(rng, degree=2, constraints=g3)
+        phi = sample_diffeo(rng, degree=2, pinned=zeroed("G3"))
         assert fiber_action(phi, p3, [(1, 0)]) == [(1, 0)]
 
 

@@ -420,6 +420,32 @@ def test_reduce_messy_rvt_curve():
     assert result.normal_form == (3, 4, 5)
 
 
+# the short-parameterization step needs ord x < ord y; these RVR cusps skip it
+# (direction G would put them in standard position and may sharpen the answers)
+PLANAR_CUSPS_WITHOUT_HIGHER_ORDER_Y = [
+    ({3: 1}, {2: 1}, {}),
+    ({2: 1}, {2: 1, 3: 1}, {}),
+    ({3: 1}, {2: 1, 5: 1}, {}),
+]
+
+
+@pytest.mark.time_limit(10)
+@pytest.mark.parametrize("comps", PLANAR_CUSPS_WITHOUT_HIGHER_ORDER_Y,
+                         ids=["swapped", "equal-order", "swapped-tail"])
+def test_planar_cusp_without_higher_order_y_gets_an_answer(comps, capsys, tmp_path):
+    left = _write(tmp_path, "left.json", curve_to_obj(curve(*comps, trunc=24)))
+    right = _write(tmp_path, "right.json",
+                   curve_to_obj(monomial_curve(2, 3, None, trunc=24)))
+    assert main(["reduce", "--curve", left]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "error" not in payload
+    assert payload["status"] in {"reduced", "outside-catalog"}
+    assert main(["equiv", "--left", left, "--right", right]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert "error" not in payload
+    assert payload["kind"] in {"equivalent", "unknown"}
+
+
 # -- known defects: direction G (standard position) mends both, and must unmark these
 
 @pytest.mark.xfail(strict=True, reason="defect 7: no stage puts a curve in "

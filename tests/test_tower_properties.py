@@ -356,8 +356,8 @@ def staged_jets(draw):
         tables[component - 1][axis] = draw(signs)
     stage = draw(st.sampled_from((None, "G1", "G2", "G3")))
     if stage is not None:
-        for c in taylor_constraints(stage).constraints:
-            tables[c.component - 1].pop(c.index, None)
+        for component, mono in taylor_constraints(stage):
+            tables[component - 1].pop(mono, None)
     jet = PolyJet3(tables, 2)
     assume(jet.linear_det() != 0)
     return DiffeoJet(jet)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .curves import CurveGerm
-from .errors import DomainError
+from .errors import DomainError, InsufficientTruncation
 from .jets import Mono, PolyJet3, monomials
 from .series import DEFAULT_TRUNC, Rational, _as_fraction
 from .tower import (TowerPoint, point_above, prolong_point, prolong_point_over,
@@ -81,8 +81,22 @@ def isotropy_check(phi: DiffeoJet, p: TowerPoint,
                    trunc: int = DEFAULT_TRUNC) -> bool:
     """True when the prolonged jet fixes ``p`` exactly; False from the
     first level where the image leaves ``p``, even if a level above it
-    would need more than ``trunc``."""
-    return p.level == 0 or _image_over(phi, p, p, trunc) is not None
+    would need more than ``trunc``.
+
+    ``trunc`` is a ceiling: the climb runs at trunc 8 and doubles on
+    ``InsufficientTruncation`` up to ``trunc``, where a shortfall is
+    raised. Every answer a climb returns is exact, so the answers are those
+    of one climb at ``trunc``."""
+    if p.level == 0:
+        return True
+    t = min(8, trunc)
+    while True:
+        try:
+            return _image_over(phi, p, p, t) is not None
+        except InsufficientTruncation:
+            if t >= trunc:
+                raise
+            t = min(2 * t, trunc)
 
 
 FiberDirection = tuple[Fraction, Fraction]

@@ -7,10 +7,10 @@ four separated pairs. Past trunc 24 the reductions ask
 ``Semigroup.witness_for`` for witnesses beyond the semigroup bound, so the
 synthesized witnesses are checked too. Of the ``invariants`` workload, every semigroup item of all
 variants runs, and the sparse and variant-0 planarity and RVT items and the
-census. Of the ``action`` workload, every variant-0 item runs, each
-``fiber_action`` only after its isotropy check returned True, as in the
-benchmark. The sha256 of each output must equal the one in
-``mtbench/expected/<workload>.json``. Input files and traces are written to a
+census. Of the ``action`` workload, every isotropy check of all variants
+runs, and every variant-0 apply and fiber item, each ``fiber_action`` only
+after its isotropy check returned True, as in the benchmark. The sha256 of
+each output must equal the one in ``mtbench/expected/<workload>.json``. Input files and traces are written to a
 temporary directory; nothing under ``mtbench/`` changes.
 """
 
@@ -69,7 +69,8 @@ def test_action_digests(tmp_path, monkeypatch):
 
     expected = json.loads((MTBENCH / "expected" / "action.json").read_text())
     wl = workloads.Action(0, tmp_path, expected)
-    items = [item for item in wl.pool() if "/v0/" in item.key]
+    items = [item for item in wl.pool()
+             if "/v0/" in item.key or item.key.endswith("/isotropy")]
     flags = {}
     wrong = []
     ran = 0
@@ -83,5 +84,5 @@ def test_action_digests(tmp_path, monkeypatch):
             flags[item.key] = result
         if workloads.digest(item.to_obj(result)) != expected[item.key]:
             wrong.append(item.key)
-    assert ran == 176
+    assert ran == 404
     assert wrong == []

@@ -16,8 +16,8 @@ from mtower.tower import (_GRID, Arrangement, CriticalHyperplane, Direction,
                           ProlongedCurve, TowerPoint, _center, _direction_of,
                           active_indices, classify_direction, make_point,
                           point_above, point_letters, project_point,
-                          prolong_curve, prolong_point, realize_point,
-                          rvt_code, vertical_plane)
+                          prolong_curve, prolong_point, prolong_point_over,
+                          realize_point, rvt_code, vertical_plane)
 
 F = Fraction
 
@@ -323,6 +323,8 @@ def test_a_low_truncation_answers_as_trunc_64_or_refuses(tables, phi, k, trunc):
     p = outcome(prolong_point, curve_at(tables, 64), k)
     if isinstance(p, TowerPoint):
         check(lambda t: prolong_apply(phi, p, t))
+        # the premise of isotropy_check's doubling from 8 up to its trunc
+        check(lambda t: isotropy_check(phi, p, t))
 
 
 # -- isotropy answers at the first level where the image leaves the point ----
@@ -378,3 +380,15 @@ def test_isotropy_check_agrees_with_the_full_image(p, phi, trunc):
     if fixed is False:
         at_64 = outcome(prolong_apply, phi, p, 64)
         assert not isinstance(at_64, TowerPoint) or at_64 != p
+
+
+@given(catalog_points(), staged_jets(),
+       st.one_of(st.integers(1, 24), st.just(64)))
+@settings(max_examples=200, deadline=None)
+def test_isotropy_check_answers_as_one_climb_at_its_trunc(p, phi, trunc):
+    # the doubling from 8 changes no answer, error class or message
+    def one_climb():
+        image = phi.apply_to_curve(realize_point(p, trunc))
+        return prolong_point_over(image, p.level, p) is not None
+
+    assert outcome(isotropy_check, phi, p, trunc) == outcome(one_climb)

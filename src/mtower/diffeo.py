@@ -14,11 +14,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .curves import CurveGerm
-from .errors import DomainError, InsufficientTruncation
+from .errors import DomainError
 from .jets import Mono, PolyJet3, monomials
 from .series import DEFAULT_TRUNC, Rational, _as_fraction
-from .tower import (TowerPoint, point_above, prolong_point, prolong_point_over,
-                    realize_point)
+from .tower import (TowerPoint, _doubling, point_above, prolong_point,
+                    prolong_point_over, realize_point)
 
 #: Default total degree for diffeomorphism jets.
 DEFAULT_JET_DEGREE = 8
@@ -83,20 +83,12 @@ def isotropy_check(phi: DiffeoJet, p: TowerPoint,
     first level where the image leaves ``p``, even if a level above it
     would need more than ``trunc``.
 
-    ``trunc`` is a ceiling: the climb runs at trunc 8 and doubles on
-    ``InsufficientTruncation`` up to ``trunc``, where a shortfall is
-    raised. Every answer a climb returns is exact, so the answers are those
-    of one climb at ``trunc``."""
+    ``trunc`` is a ceiling: the climb runs at trunc 8 and doubles on a
+    shortfall up to ``trunc`` (see :func:`mtower.tower._doubling`), so the
+    answers are those of one climb at ``trunc``."""
     if p.level == 0:
         return True
-    t = min(8, trunc)
-    while True:
-        try:
-            return _image_over(phi, p, p, t) is not None
-        except InsufficientTruncation:
-            if t >= trunc:
-                raise
-            t = min(2 * t, trunc)
+    return _doubling(lambda t: _image_over(phi, p, p, t) is not None, trunc)
 
 
 FiberDirection = tuple[Fraction, Fraction]

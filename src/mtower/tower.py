@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .curves import CurveGerm
 from .errors import DomainError, InsufficientTruncation
@@ -428,15 +428,39 @@ def prolong_curve(c: CurveGerm, k: int) -> ProlongedCurve:
                           top.letters, p)
 
 
+_T = TypeVar("_T")
+
+
+def _doubling(attempt: Callable[[int], _T], ceiling: int) -> _T:
+    """``attempt(t)`` at t = min(8, ceiling), retried at min(2t, ceiling) on
+    ``InsufficientTruncation`` only; at the ceiling the shortfall is raised.
+    For attempts whose every returned value is exact, such as a climb's,
+    the answers and errors are those of ``attempt(ceiling)``."""
+    t = min(8, ceiling)
+    while True:
+        try:
+            return attempt(t)
+        except InsufficientTruncation:
+            if t >= ceiling:
+                raise
+            t = min(2 * t, ceiling)
+
+
 def rvt_code(c: CurveGerm, k: int) -> RVTWord:
     """RVT word of length ``k`` attached to the curve's prolongation.
 
     The curve must realize its endpoint: the k-fold prolongation is immersed
     at t=0 (no common factor of t in the velocity) and points in a regular
     direction. Anything else is refused rather than guessed.
+
+    The curve's truncation is a ceiling: the climb starts on the curve
+    restricted to trunc 8 and doubles on a shortfall (see :func:`_doubling`),
+    and its last try is the curve itself, so the words and errors are those
+    of one climb on the curve.
     """
     _check_level(k)
-    top = _climb(c, k + 1)
+    top = _doubling(lambda t: _climb(c if t >= c.trunc else c.restrict(t), k + 1),
+                    c.trunc)
     if top.cancelled != 0:
         raise DomainError(
             "the curve's level-%d prolongation is not immersed at t=0; "

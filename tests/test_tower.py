@@ -6,6 +6,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
+from mtower import tower
 from mtower.curves import CurveGerm, monomial_curve
 from mtower.errors import DomainError, InsufficientTruncation
 from mtower.series import TruncSeries
@@ -116,6 +117,38 @@ def test_rvt_code_of_the_planar_chain_curve():
     with pytest.raises(DomainError):
         rvt_code(monomial_curve(5, 8, None), 3)
     assert word_str(rvt_code(monomial_curve(5, 8, None), 4)) == "RVVV"
+
+
+@pytest.mark.parametrize("exponents, trunc, level, answer, climbs", [
+    ((3, 5, 7), 64, 3, "RVV", [8]),
+    ((5, 8, None), 64, 4, "RVVV", [8, 16]),
+    # short at the ceiling, so raised
+    ((5, 8, None), 10, 4, "cannot differentiate a series known only at "
+                          "degree 0", [8, 10]),
+], ids=["answers-at-8", "answers-at-16", "short-at-ceiling-10"])
+def test_rvt_code_doubles_its_climb_up_to_the_curves_trunc(
+        monkeypatch, exponents, trunc, level, answer, climbs):
+    seen = []
+    climb = tower._climb
+
+    def recorded(c, *args):
+        seen.append(c.trunc)
+        return climb(c, *args)
+
+    monkeypatch.setattr(tower, "_climb", recorded)
+    try:
+        got = word_str(rvt_code(monomial_curve(*exponents, trunc), level))
+    except InsufficientTruncation as exc:
+        got = str(exc)
+    assert (got, seen) == (answer, climbs)
+
+
+def test_rvt_code_tries_the_curve_itself_last():
+    # restricted to its own trunc 40, the curve would vanish up to truncation
+    c = CurveGerm(TruncSeries({50: 1}, 64), TruncSeries.zero(40),
+                  TruncSeries.zero(40))
+    with pytest.raises(InsufficientTruncation, match="t\\^49 coefficient"):
+        rvt_code(c, 1)
 
 
 def test_word_parsing_round_trip():

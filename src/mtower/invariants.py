@@ -134,12 +134,21 @@ def _cleared(vec: dict[int, int], wit: dict[Mono, int], den: int,
 def semigroup(c: CurveGerm, bound: int = DEFAULT_SEMIGROUP_BOUND) -> Semigroup:
     """Certified initial segment of the curve's value semigroup.
 
-    All monomials that can reach the bound are composed with the curve and
-    reduced by leading order with exact fraction-free elimination on integer
+    The monomials whose composition with the curve leads at or below the
+    bound are composed one at a time, in the order of that lead, and reduced
+    by leading order with exact fraction-free elimination on integer
     numerators; the surviving leading orders are the elements, and the
     tracked combinations are the witnesses. Cancellation between equal
     leading terms is what lets elements appear that no single monomial
     realizes.
+
+    A monomial's composition leads exactly at its weighted degree in the
+    component orders, since the leading coefficients multiply to a nonzero
+    number. The elimination stops once its answer is settled: pivots are
+    never modified and a row's lead only grows, so a row led inside the
+    filled tail (every order from there to the bound a pivot) can only
+    reduce to zero. Such a row is dropped, and no column whose lead falls in
+    that tail is built.
     """
     if not well_parameterized(c):
         raise DomainError("the semigroup is defined for well-parameterized germs")
@@ -149,33 +158,34 @@ def semigroup(c: CurveGerm, bound: int = DEFAULT_SEMIGROUP_BOUND) -> Semigroup:
         raise InsufficientTruncation(
             f"semigroup bound {bound} exceeds curve truncation {c.trunc}")
     orders = tuple(s.order() for s in c.components)
-    monos = monomials(bound, orders)
-    columns = evaluate_polys((({m: 1}, 1) for m in monos),
+    wx, wy, wz = (w or 0 for w in orders)
+    # (lead, monomial) pairs; equal leads stay in lexicographic order
+    ranked = sorted((i * wx + j * wy + k * wz, (i, j, k))
+                    for i, j, k in monomials(bound, orders))
+    columns = evaluate_polys((({m: 1}, 1) for _, m in ranked),
                              *on_series(*c.restrict(bound).components))
-    # a row (vec, wit, den) is the composed series vec/den and its witness
-    # wit/den, both as integer numerators over one positive denominator
-    rows = []
-    for mono, series in zip(monos, columns):
-        num, den = series.numerators()
-        rows.append((num, {mono: den}, den))
-    # eliminate by leading order, keeping one pivot row per order
+    # eliminate by leading order, keeping one pivot row per order; a row
+    # (vec, wit, den) is the composed series vec/den and its witness wit/den,
+    # both as integer numerators over one positive denominator. Every order
+    # in [full_from, bound] is a pivot.
     pivots: dict[int, tuple[dict[int, int], dict[Mono, int], int]] = {}
-    rows.sort(key=lambda r: min(r[0]) if r[0] else bound + 1)
-    for vec, wit, den in rows:
-        while vec:
-            lead = min(vec)
+    full_from = bound + 1
+    for degree, mono in ranked:
+        if degree >= full_from:
+            break  # checked before the column is pulled, so it is never built
+        vec, den = next(columns).numerators()
+        wit = {mono: den}
+        while vec and (lead := min(vec)) < full_from:
             if lead not in pivots:
                 pivots[lead] = (vec, wit, den)
+                while full_from - 1 in pivots:
+                    full_from -= 1
                 break
             pvec, pwit, _ = pivots[lead]
             vec, wit, den = _cleared(vec, wit, den, pvec, pwit, lead)
     elements = tuple(sorted(pivots))
     gaps = tuple(n for n in range(1, bound + 1) if n not in pivots)
-    conductor = None
-    n = bound
-    while n >= 1 and n in pivots:
-        conductor = n
-        n -= 1
+    conductor = full_from if full_from <= bound else None
     # a row's content was divided out of its series and witness together
     witnesses = {e: poly_scaled_sum([(1, (wit, 1))], den)
                  for e, (_, wit, den) in pivots.items()}

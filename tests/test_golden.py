@@ -18,7 +18,9 @@ at truncation 16/24, ``cm16`` is (t^3-t^4, t^5, t^7) at truncation 16, and
 and 2/7;
 ``phi`` is (2x, y+x^2, z+3xy) and ``p3`` the level-3 point of (t, t^2, 0);
 ``v64``/``v10`` are (t^5, t^8, 0) at truncation 64/10, whose level-4 code
-needs trunc 16. The cases in ``REFUSED`` record an error object and exit 1.
+needs trunc 16; ``smooth24`` is (t, 0, 0) and ``mcusp24`` is (t^2, t^3, 0),
+each moved by a degree-2 jet at truncation 24. The cases in ``REFUSED``
+record an error object and exit 1.
 """
 
 import contextlib
@@ -51,6 +53,10 @@ CASES = {
     "semigroup-moved": ["semigroup", "--curve", "moved40.json"],
     # witnesses with 177-bit numerators over dozens of distinct denominators
     "semigroup-jet32": ["semigroup", "--curve", "jet32.json"],
+    # every order 1-24 is an element, so the settled tail is all of them
+    "semigroup-smooth": ["semigroup", "--curve", "smooth24.json"],
+    # component orders 2, 2, 4: every odd element needs a cancellation
+    "semigroup-cusp-moved": ["semigroup", "--curve", "mcusp24.json"],
     "planar-witness": ["planar", "--curve", "p48.json"],
     "planar-obstructed": ["planar", "--curve", "m48.json"],
     "planar-moved": ["planar", "--curve", "moved40.json"],

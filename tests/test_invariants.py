@@ -13,6 +13,7 @@ from sympy.polys.matrices import DomainMatrix
 from sympy.polys.ring_series import rs_mul
 from sympy.polys.rings import ring
 
+from mtower import invariants
 from mtower.catalog import NORMAL_FORMS
 from mtower.curves import CurveGerm, monomial_curve
 from mtower.diffeo import sample_diffeo
@@ -279,6 +280,70 @@ def test_semigroup_matches_fraction_elimination(c, bound):
     assert s.witnesses == {e: integer_poly(w) for e, w in witnesses.items()}
     assert all(type(x) is int for num, _ in s.witnesses.values()
                for x in num.values())
+
+
+@st.composite
+def moved_smooth_curves(draw):
+    """A monomial curve with an exponent-1 component, moved by a degree-2 jet
+    with small integer coefficients and an invertible linear part."""
+    others = draw(st.lists(st.sampled_from((None, *range(1, 10))),
+                           min_size=2, max_size=2))
+    c = monomial_curve(*draw(st.permutations([1, *others])), trunc=24)
+    small = st.integers(-3, 3)
+    quadratic = [m for m in monomials(2) if sum(m) == 2]
+    comps = [{**{m: draw(small) for m in monomials(1)},
+              **draw(st.dictionaries(st.sampled_from(quadratic), small,
+                                     max_size=3))}
+             for _ in range(3)]
+    jet = PolyJet3(comps, 2)
+    assume(jet.linear_det() != 0)
+    return c.map_jet(jet)
+
+
+@given(moved_smooth_curves(), st.integers(1, 12))
+@settings(max_examples=40, deadline=None)
+def test_semigroup_of_moved_smooth_germs_matches_fraction_elimination(c, bound):
+    # every order is an element, so the elimination stops early on these
+    s = semigroup(c, bound)
+    elements, gaps, conductor, witnesses = fraction_semigroup(c, bound)
+    assert s.elements == elements
+    assert s.gaps == gaps
+    assert s.conductor == conductor
+    assert s.witnesses == {e: integer_poly(w) for e, w in witnesses.items()}
+
+
+@pytest.mark.parametrize("exponents, conductor, columns, reductions", [
+    # without the stops: all 968, 164 and 164 columns of weighted degree
+    # <= 16, and 3,623, 625 and 633 reductions
+    ((1, None, None), 1, 128, 568),
+    ((2, 3, None), 2, 24, 108),
+    # two rows reach the filled tail while they are reduced
+    ((2, 7, None), 6, 16, 68),
+])
+def test_semigroup_stops_once_the_tail_is_filled(exponents, conductor, columns,
+                                                  reductions, monkeypatch):
+    # no column is built, and no row reduced, once its lead lies in the
+    # filled tail; the counts pin both stops
+    built, cleared = [], []
+    evaluate, clear = invariants.evaluate_polys, invariants._cleared
+
+    def counted_evaluate(*args, **kwargs):
+        for column in evaluate(*args, **kwargs):
+            built.append(column)
+            yield column
+
+    def counted_clear(*args):
+        cleared.append(args)
+        return clear(*args)
+
+    monkeypatch.setattr(invariants, "evaluate_polys", counted_evaluate)
+    monkeypatch.setattr(invariants, "_cleared", counted_clear)
+    # the jet moves (t, 0, 0) to a conic: t^2 in two components
+    c = sample_diffeo(random.Random(1), degree=2).apply_to_curve(
+        monomial_curve(*exponents, trunc=40))
+    s = semigroup(c.reparametrize(TruncSeries({1: 1, 2: -1}, 40)), 16)
+    assert s.conductor == conductor
+    assert (len(built), len(cleared)) == (columns, reductions)
 
 
 # -- planarity ---------------------------------------------------------------------

@@ -104,6 +104,11 @@ def fiber_action(phi: DiffeoJet, p: TowerPoint,
     image points one level up. Every pair is checked before any point is
     realized. The jet fixes ``p`` when each image lies over ``p``, since
     prolongation commutes with projection.
+
+    ``trunc`` is a ceiling: each direction's image is read through
+    :func:`mtower.tower._doubling`, at trunc 8 and doubled on a shortfall up
+    to ``trunc``, so the images and errors are those of one climb per
+    direction at ``trunc``.
     """
     pairs: list[FiberDirection] = []
     for pair in directions:
@@ -118,7 +123,8 @@ def fiber_action(phi: DiffeoJet, p: TowerPoint,
         raise DomainError("fiber_action requires a jet fixing the point")
     out: list[FiberDirection] = []
     for b, c in pairs:
-        q_image = _image_over(phi, point_above(p, (Fraction(0), b, c)), p, trunc)
+        q = point_above(p, (Fraction(0), b, c))
+        q_image = _doubling(lambda t: _image_over(phi, q, p, t), trunc)
         if q_image is None:
             raise DomainError("fiber_action requires a jet fixing the point")
         a, b, c = q_image.step_direction(p.level + 1)

@@ -275,6 +275,12 @@ def planarity(c: CurveGerm,
     so the work is bounded by the order bound whatever the degree bound.
     A found witness is re-verified by substitution. When no such f exists
     the verdict reports the smallest order bound that already obstructs.
+
+    The equations are added order by order, and a monomial's column is
+    built only when the row of order d * multiplicity is about to be added
+    (d its total degree): its composition vanishes below that order, so the
+    rows are those of building every column first, and an early obstruction
+    never builds the columns of higher degree.
     """
     if not well_parameterized(c):
         raise DomainError("planarity is decided for well-parameterized germs")
@@ -286,16 +292,24 @@ def planarity(c: CurveGerm,
     # a monomial of total degree above order_bound // multiplicity composes
     # to order > order_bound: its column is zero, so it is never a pivot and
     # never a witness's linear column
-    degree = min(degree_bound, max(1, order_bound // multiplicity(c)))
+    mult = multiplicity(c)
+    degree = min(degree_bound, max(1, order_bound // mult))
     monos = sorted(monomials(degree), key=lambda m: (sum(m), m))
     low = c.restrict(order_bound)
     columns = evaluate_polys((({m: 1}, 1) for m in monos),
                              *on_series(*low.components))
-    rows: list[dict[int, Fraction]] = [{} for _ in range(order_bound)]
-    for i, s in enumerate(columns):
-        for order, coeff in s.terms():
-            rows[order - 1][i] = coeff
-    found = _obstruction_or_witness(rows, monos)
+
+    def rows_in_order():
+        rows: list[dict[int, Fraction]] = [{} for _ in range(order_bound)]
+        built = 0
+        for order, row in enumerate(rows, start=1):
+            while built < len(monos) and sum(monos[built]) * mult <= order:
+                for term_order, coeff in next(columns).terms():
+                    rows[term_order - 1][built] = coeff
+                built += 1
+            yield row
+
+    found = _obstruction_or_witness(rows_in_order(), monos)
     if isinstance(found, int):
         return PlanarityVerdict("obstructed", degree_bound, order_bound,
                                 obstruction_order=found)

@@ -435,7 +435,10 @@ def _doubling(attempt: Callable[[int], _T], ceiling: int) -> _T:
     """``attempt(t)`` at t = min(8, ceiling), retried at min(2t, ceiling) on
     ``InsufficientTruncation`` only; at the ceiling the shortfall is raised.
     For attempts whose every returned value is exact, such as a climb's,
-    the answers and errors are those of ``attempt(ceiling)``."""
+    the answers and errors are those of ``attempt(ceiling)``, so a caller's
+    ``trunc`` is a ceiling. It serves :func:`rvt_code`,
+    :func:`mtower.diffeo.isotropy_check` and, one climb per direction,
+    :func:`mtower.diffeo.fiber_action`."""
     t = min(8, ceiling)
     while True:
         try:

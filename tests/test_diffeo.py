@@ -308,14 +308,22 @@ def test_fiber_action_checks_every_direction_before_prolonging(monkeypatch, bad)
     assert realized == []
 
 
-def test_fiber_action_realizes_one_point_per_direction(monkeypatch):
-    # fixedness is read off the direction images: p itself is not realized
-    realized = counted_realizations(monkeypatch)
+def test_fiber_action_climbs_each_direction_from_trunc_8(monkeypatch):
+    # fixedness is read off the direction images: p itself is not realized;
+    # each direction is realized at trunc 8 and again at 16, where it settles
+    climbs = []
+
+    def counted(q, trunc):
+        climbs.append((q, trunc))
+        return realize_point(q, trunc)
+
+    monkeypatch.setattr(diffeo, "realize_point", counted)
     p3 = rvv_representative()
     dirs = [(1, 0), (0, 1), (1, 1)]
     assert fiber_action(DiffeoJet.diagonal(1, 1, 2), p3, dirs) == \
         [(1, 0), (0, 1), (1, 2)]
-    assert realized == [point_above(p3, (0, b, c)) for b, c in dirs]
+    q1, q2, q3 = (point_above(p3, (0, b, c)) for b, c in dirs)
+    assert climbs == [(q1, 8), (q1, 16), (q2, 8), (q2, 16), (q3, 8), (q3, 16)]
 
 
 def test_fiber_action_with_no_directions_still_checks_the_point(monkeypatch):
@@ -346,3 +354,42 @@ def test_fiber_action_matches_closed_form_for_diagonal_jets():
     for a, b, c in [(2, 1, 1), (1, 2, 3), (3, F(1, 2), F(5, 3))]:
         lam = F(c) * F(a) / (F(b) ** 2)
         assert fiber_action(DiffeoJet.diagonal(a, b, c), p3, [(1, 1)]) == [(1, lam)]
+
+
+def one_climb_fiber_action(phi, p, directions, trunc):
+    """Each direction's image read by one climb at ``trunc``."""
+    out = []
+    for b, c in directions:
+        q = point_above(p, (0, F(b), F(c)))
+        image = diffeo._image_over(phi, q, p, trunc)
+        if image is None:
+            raise DomainError("fiber_action requires a jet fixing the point")
+        out.append(image.step_direction(p.level + 1)[1:])
+    return out
+
+
+def outcome(action, *args):
+    try:
+        return action(*args)
+    except (DomainError, InsufficientTruncation) as error:
+        return type(error), str(error)
+
+
+def test_fiber_action_matches_one_climb_at_the_ceiling():
+    # the doubling loop's images and errors are those of one climb per
+    # direction at trunc: a shortfall is raised at the ceiling, and a
+    # non-fixing jet gives the same DomainError at every ceiling
+    rng = random.Random(43)
+    points = [rv_representative(), rvv_representative(), *rvvv_points()]
+    dirs = [(1, 0), (0, 1), (1, 1), (2, -3)]
+    jets = [DiffeoJet.diagonal(1, 2, 3), DiffeoJet.diagonal(2, 1, F(1, 2))]
+    jets += [sample_diffeo(rng, degree=2, pinned=zeroed(stage) if stage else None)
+             for stage in (None, "G1", "G2", "G3", "G3")]
+    seen = set()
+    for p in points:
+        for phi in jets:
+            for trunc in (4, 8, 16, 64):
+                got = outcome(fiber_action, phi, p, dirs, trunc)
+                assert got == outcome(one_climb_fiber_action, phi, p, dirs, trunc)
+                seen.add(got[0] if isinstance(got, tuple) else list)
+    assert seen == {list, DomainError, InsufficientTruncation}

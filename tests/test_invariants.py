@@ -1,10 +1,12 @@
 """Multiplicity, semigroups, planarity."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 import sympy
@@ -15,7 +17,7 @@ from sympy.polys.rings import ring
 
 from mtower import invariants
 from mtower.catalog import NORMAL_FORMS
-from mtower.curves import CurveGerm, monomial_curve
+from mtower.curves import CurveGerm, curve_from_obj, monomial_curve
 from mtower.diffeo import sample_diffeo
 from mtower.errors import DomainError, InsufficientTruncation
 from mtower.invariants import (Semigroup, _cleared, multiplicity, planarity,
@@ -24,6 +26,7 @@ from mtower.jets import PolyJet3, integer_poly, monomials
 from mtower.series import TruncSeries
 
 F = Fraction
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def curve(xs, ys, zs, trunc=40):
@@ -460,3 +463,74 @@ def test_planarity_matches_sympy_elimination():
             assert verdict.kind == "planar-witness"
             assert verdict.witness == integer_poly(expected)
     assert kinds == {"obstructed", "planar-witness"}
+
+
+def every_column_planarity(c, degree_bound, order_bound):
+    """The obstruction order or witness found from every column's rows,
+    each column composed before the first row is added."""
+    degree = min(degree_bound, max(1, order_bound // multiplicity(c)))
+    monos = sorted(monomials(degree), key=lambda m: (sum(m), m))
+    low = c.restrict(order_bound)
+    rows = [{} for _ in range(order_bound)]
+    for i, mono in enumerate(monos):
+        for order, coeff in poly_on_curve(({mono: 1}, 1), low).terms():
+            rows[order - 1][i] = coeff
+    return invariants._obstruction_or_witness(rows, monos)
+
+
+@st.composite
+def small_curves(draw):
+    """A curve of multiplicity 1-4 at trunc 16, with small integer
+    coefficients and one component of that order."""
+    mult = draw(st.integers(1, 4))
+    coeff = st.integers(-3, 3).filter(bool)
+    comps = [draw(st.dictionaries(st.integers(mult, 16), coeff, max_size=4))
+             for _ in range(3)]
+    comps[draw(st.integers(0, 2))][mult] = draw(coeff)
+    return curve(*comps, trunc=16)
+
+
+@given(small_curves(), st.integers(1, 7), st.integers(1, 16))
+@settings(max_examples=60, deadline=None)
+def test_planarity_matches_building_every_column(c, degree_bound, order_bound):
+    assume(well_parameterized(c))
+    verdict = planarity(c, degree_bound, order_bound)
+    expected = every_column_planarity(c, degree_bound, order_bound)
+    if isinstance(expected, int):
+        assert (verdict.kind, verdict.obstruction_order) == ("obstructed", expected)
+    else:
+        assert (verdict.kind, verdict.witness) == ("planar-witness", expected)
+
+
+def moved_by_jet(*exponents):
+    return sample_diffeo(random.Random(1), degree=2).apply_to_curve(
+        monomial_curve(*exponents, trunc=40))
+
+
+def golden_curve(name):
+    return curve_from_obj(json.loads((GOLDEN / name).read_text()))
+
+
+@pytest.mark.parametrize("c, columns", [
+    # obstructed at order 5 and 7 with multiplicity 3 and 4: degree 1 only
+    (moved_by_jet(3, 4, 5), 3),
+    (moved_by_jet(4, 6, 7), 3),
+    # obstructed at order 7 with multiplicity 3: degrees 1 and 2
+    (monomial_curve(3, 5, 7, trunc=40), 9),
+    (golden_curve("m48.json"), 9),
+    # planar: all 119 columns of degree <= 7, and the witness re-verified
+    (golden_curve("p48.json"), 120),
+], ids=["moved-3-4-5", "moved-4-6-7", "3-5-7", "m48", "p48"])
+def test_planarity_builds_a_column_when_its_first_row_is_reached(
+        c, columns, monkeypatch):
+    built = []
+    evaluate = invariants.evaluate_polys
+
+    def counted_evaluate(*args, **kwargs):
+        for column in evaluate(*args, **kwargs):
+            built.append(column)
+            yield column
+
+    monkeypatch.setattr(invariants, "evaluate_polys", counted_evaluate)
+    planarity(c)
+    assert len(built) == columns
